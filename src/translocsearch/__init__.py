@@ -14,7 +14,12 @@ Three engines report the same 1-based match end positions:
 from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, ScanConfig, build_dawg
 from .dp import DpColumns, dp_search
-from .oracle import ImageExplosionError, enumerate_images, naive_search
+from .oracle import (
+    DEFAULT_NAIVE_LIMIT,
+    ImageExplosionError,
+    enumerate_images,
+    naive_search,
+)
 from .seqcore import (
     Alphabet,
     MatchReport,
@@ -48,12 +53,25 @@ __all__ = [
 ]
 
 
-def match_ends(pattern: str, text: str, algo: str = "dawg") -> list[int]:
-    """Convenience wrapper: match end positions for plain strings."""
+def match_ends(
+    pattern: str,
+    text: str,
+    algo: str = "dawg",
+    naive_limit: int = DEFAULT_NAIVE_LIMIT,
+) -> list[int]:
+    """Match end positions for plain strings; the one engine dispatch.
+
+    The naive engine refuses patterns longer than ``naive_limit``: its
+    image set grows exponentially with the pattern length.
+    """
     alphabet = infer_alphabet(pattern)
     pat = encode(pattern, alphabet)
     txt = encode(text, alphabet)
     if algo == "naive":
+        if pat.length > naive_limit:
+            raise ValueError(
+                f"naive engine refuses patterns longer than {naive_limit}"
+            )
         return list(naive_search(pat, txt).end_positions)
     if algo == "dp":
         return list(dp_search(pat, txt).end_positions)

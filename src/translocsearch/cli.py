@@ -15,14 +15,10 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
-import numpy as np
-
+from . import match_ends
 from .automaton import automaton_search
-from .dp import dp_search
-from .oracle import ImageExplosionError, naive_search
-from .seqcore import Sequence, encode, infer_alphabet
-
-DEFAULT_NAIVE_LIMIT = 12
+from .oracle import DEFAULT_NAIVE_LIMIT, ImageExplosionError
+from .seqcore import Sequence
 
 CSV_HEADER = (
     "m,n,sigma,seed,delta_steps,suffix_hops,inner_iterations,"
@@ -86,21 +82,6 @@ def parse_fasta(stream: Iterable[str]) -> list[FastaRecord]:
     return records
 
 
-def run_engine(
-    algo: str, pattern: Sequence, text: Sequence, naive_limit: int
-) -> tuple[int, ...]:
-    if algo == "naive":
-        if pattern.length > naive_limit:
-            raise ValueError(
-                f"naive engine refuses patterns longer than {naive_limit}"
-            )
-        return naive_search(pattern, text).end_positions
-    if algo == "dp":
-        return dp_search(pattern, text).end_positions
-    report, _ = automaton_search(pattern, text)
-    return report.end_positions
-
-
 def _load_pattern(args: argparse.Namespace) -> str:
     if args.pattern is not None:
         return args.pattern
@@ -129,13 +110,10 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         # records come back uppercased, so fold the pattern the same way
         pattern_raw = pattern_raw.upper()
 
-    alphabet = infer_alphabet(pattern_raw)
-    pattern = encode(pattern_raw, alphabet)
     matches = []
     for record in records:
-        text = encode(record.sequence, alphabet)
-        for end in run_engine(args.algo, pattern, text, args.naive_limit):
-            matches.append((record.id, end))
+        ends = match_ends(pattern_raw, record.sequence, args.algo, args.naive_limit)
+        matches.extend((record.id, end) for end in ends)
 
     if args.format == "json":
         json.dump([{"record": rid, "end": end} for rid, end in matches], out)
@@ -162,6 +140,7 @@ def bench_rows(
         raise ValueError("n must be at least the largest pattern length")
     if trials < 1:
         raise ValueError("trials must be positive")
+    import numpy as np  # only the benchmark needs it; keeps `utd search` start-up fast
 
     rows = []
     for m in m_list:

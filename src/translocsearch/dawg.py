@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .seqcore import Alphabet, Sequence
+from .seqcore import Sequence
 
 ROOT = 0
 
@@ -66,10 +66,6 @@ class Dawg:
     @property
     def state_count(self) -> int:
         return len(self.lens)
-
-    @property
-    def transition_count(self) -> int:
-        return sum(len(t) for t in self.trans)
 
 
 def build_dawg(pattern: Sequence) -> Dawg:
@@ -139,25 +135,19 @@ def build_dawg(pattern: Sequence) -> Dawg:
     return Dawg(m, lens, suf, isuf, trans, endpos)
 
 
-def advance(dawg: Dawg, config: ScanConfig, code: int) -> ScanConfig:
-    """Configuration after appending one text symbol.
-
-    If the current state has a transition on ``code`` the tracked factor
-    simply grows by one.  Otherwise walk improved suffix links until a
-    state with such a transition appears; the new length is that state's
-    length plus one, because its class value is the longest suffix of the
-    tracked factor extensible by ``code``.  With no transition anywhere on
-    the path, restart at the root.
-    """
-    new_config, _ = advance_with_hops(dawg, config.state, config.length, code)
-    return new_config
-
-
 def advance_with_hops(
     dawg: Dawg, state: int, length: int, code: int
 ) -> tuple[ScanConfig, int]:
-    """Like :func:`advance`, also returning the number of improved-link
-    hops taken, for the engine's work counters."""
+    """Configuration after appending one text symbol, and the number of
+    improved-link hops taken, for the engine's work counters.
+
+    If ``state`` has a transition on ``code`` the tracked factor simply
+    grows by one.  Otherwise walk improved suffix links until a state with
+    such a transition appears; the new length is that state's length plus
+    one, because its class value is the longest suffix of the tracked
+    factor extensible by ``code``.  With no transition anywhere on the
+    path, restart at the root.
+    """
     trans = dawg.trans
     target = trans[state].get(code)
     if target is not None:
@@ -188,47 +178,3 @@ def suffix_state(dawg: Dawg, state: int, k: int) -> int:
     while link_len[state] >= k:
         state = suf[state]
     return state
-
-
-def endpos_contains(dawg: Dawg, state: int, pos: int) -> bool:
-    """Constant-time test: does some factor of this class end at pattern
-    position ``pos``?"""
-    return (dawg.endpos[state] >> pos) & 1 == 1
-
-
-def endpos_positions(dawg: Dawg, state: int) -> frozenset[int]:
-    """End-position bitmask expanded to a set, for inspection and tests."""
-    mask = dawg.endpos[state]
-    return frozenset(i for i in range(dawg.m + 1) if (mask >> i) & 1)
-
-
-def walk(dawg: Dawg, codes: tuple[int, ...] | list[int]) -> int | None:
-    """State reached from the root reading ``codes``; None if not a factor."""
-    state = ROOT
-    for code in codes:
-        nxt = dawg.trans[state].get(code)
-        if nxt is None:
-            return None
-        state = nxt
-    return state
-
-
-def dump(dawg: Dawg, alphabet: Alphabet | None = None) -> str:
-    """Plain-text edge list plus suffix-link list, for golden-file tests.
-
-    One ``src -> dst [symbol]`` line per transition, then one
-    ``suf src -> dst`` line per non-root state.
-    """
-
-    def sym(code: int) -> str:
-        if alphabet is not None and code < alphabet.size:
-            return alphabet.symbols[code]
-        return str(code)
-
-    lines = []
-    for src, edges in enumerate(dawg.trans):
-        for code in sorted(edges):
-            lines.append(f"{src} -> {edges[code]} [{sym(code)}]")
-    for q in range(1, dawg.state_count):
-        lines.append(f"suf {q} -> {dawg.suf[q]}")
-    return "\n".join(lines)

@@ -25,9 +25,7 @@ integer (bit 0 is the always-true empty-prefix sentinel) and the F column
 is kept as the nested family of threshold sets {i : F[i,j] >= k} for
 k = 1..max(F[.,j]), one bitmask per k.  The two encodings are equivalent
 (F[i,j] is the largest k whose set contains i) and make condition (b) a
-handful of word operations per (h,k) pair.  :func:`common_suffix_cell`
-and :func:`prefix_match_cell` state the per-cell recurrences directly and
-are cross-checked against the column engine in the tests.
+handful of word operations per (h,k) pair.
 """
 from __future__ import annotations
 
@@ -126,34 +124,6 @@ class DpColumns:
             return 0
         levels = self._f[self._slot(j)]
         return levels[k] if k < len(levels) else 0
-
-    def f_column(self, j: int) -> list[int]:
-        """Column of F lengths, rows 0..m."""
-        return [self.f_value(i, j) for i in range(self.m + 1)]
-
-
-def common_suffix_cell(prev_diag: int, xi: int, yj: int) -> int:
-    """F cell recurrence: grow the diagonal run on equal symbols, else 0."""
-    return prev_diag + 1 if xi == yj else 0
-
-
-def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: int, yj: int) -> bool:
-    """P cell recurrence evaluated literally from stored columns.
-
-    Reference semantics for the column engine; quadratic per cell.
-    """
-    if i == 0:
-        return True
-    if xi == yj and (i == 1 or cols.p_value(i - 1, j - 1)):
-        return True
-    for k in range(1, i):
-        hmax = min(cols.f_value(i - k, j), i - k)
-        for h in range(1, hmax + 1):
-            if j - h < 0 or cols.f_value(i, j - h) < k:
-                continue
-            if i == h + k or cols.p_value(i - h - k, j - h - k):
-                return True
-    return False
 
 
 def dp_search(pattern: Sequence, text: Sequence) -> MatchReport:

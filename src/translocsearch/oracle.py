@@ -12,6 +12,7 @@ from __future__ import annotations
 from .seqcore import MatchReport, Sequence
 
 DEFAULT_IMAGE_CAP = 1_000_000
+DEFAULT_NAIVE_LIMIT = 12
 
 
 class ImageExplosionError(ValueError):
@@ -31,30 +32,20 @@ def enumerate_images(
     if m == 0:
         raise ValueError("empty pattern")
     codes = pattern.codes
-    memo: dict[int, frozenset[tuple[int, ...]]] = {m: frozenset([()])}
-
-    def images_from(p: int) -> frozenset[tuple[int, ...]]:
-        cached = memo.get(p)
-        if cached is not None:
-            return cached
-        out = set()
-        head = (codes[p],)
-        for tail in images_from(p + 1):
-            out.add(head + tail)
+    # images[p] holds the images of the suffix codes[p:], filled right to left
+    images = [frozenset()] * m + [frozenset([()])]
+    for p in range(m - 1, -1, -1):
+        out = {(codes[p],) + tail for tail in images[p + 1]}
         for h in range(1, m - p):
             for k in range(1, m - p - h + 1):
                 unit = codes[p + h : p + h + k] + codes[p : p + h]
-                for tail in images_from(p + h + k):
-                    out.add(unit + tail)
+                out.update(unit + tail for tail in images[p + h + k])
         if len(out) > cap:
             raise ImageExplosionError(
                 f"image explosion: more than {cap} distinct images"
             )
-        result = frozenset(out)
-        memo[p] = result
-        return result
-
-    return images_from(0)
+        images[p] = frozenset(out)
+    return images[0]
 
 
 def naive_search(

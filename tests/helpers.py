@@ -1,4 +1,5 @@
-"""Shared test utilities: string-level wrappers and brute-force oracles.
+"""Shared test utilities: string-level wrappers, brute-force oracles and
+inspection helpers for the engines' internal structures.
 
 The oracles here are deliberately naive (window scans, substring tests)
 so they stay independent of the code paths they verify.
@@ -7,7 +8,9 @@ from __future__ import annotations
 
 import random
 
-from translocsearch.seqcore import Sequence, encode, infer_alphabet
+from translocsearch.dawg import ROOT, Dawg
+from translocsearch.dp import DpColumns
+from translocsearch.seqcore import Alphabet, Sequence, encode, infer_alphabet
 
 LETTERS = "abcdefghijklmnopqrst"
 
@@ -70,3 +73,60 @@ def bits(mask: int) -> set[int]:
         mask >>= 1
         pos += 1
     return out
+
+
+def endpos_positions(dawg: Dawg, state: int) -> frozenset[int]:
+    """End-position bitmask of a DAWG state expanded to a set."""
+    mask = dawg.endpos[state]
+    return frozenset(i for i in range(dawg.m + 1) if (mask >> i) & 1)
+
+
+def walk(dawg: Dawg, codes: tuple[int, ...] | list[int]) -> int | None:
+    """State reached from the root reading ``codes``; None if not a factor."""
+    state = ROOT
+    for code in codes:
+        nxt = dawg.trans[state].get(code)
+        if nxt is None:
+            return None
+        state = nxt
+    return state
+
+
+def dump(dawg: Dawg, alphabet: Alphabet | None = None) -> str:
+    """Plain-text edge list plus suffix-link list, for golden-file tests.
+
+    One ``src -> dst [symbol]`` line per transition, then one
+    ``suf src -> dst`` line per non-root state.
+    """
+
+    def sym(code: int) -> str:
+        if alphabet is not None and code < alphabet.size:
+            return alphabet.symbols[code]
+        return str(code)
+
+    lines = []
+    for src, edges in enumerate(dawg.trans):
+        for code in sorted(edges):
+            lines.append(f"{src} -> {edges[code]} [{sym(code)}]")
+    for q in range(1, dawg.state_count):
+        lines.append(f"suf {q} -> {dawg.suf[q]}")
+    return "\n".join(lines)
+
+
+def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: int, yj: int) -> bool:
+    """P cell recurrence evaluated literally from stored columns.
+
+    Reference semantics for the column engine; quadratic per cell.
+    """
+    if i == 0:
+        return True
+    if xi == yj and (i == 1 or cols.p_value(i - 1, j - 1)):
+        return True
+    for k in range(1, i):
+        hmax = min(cols.f_value(i - k, j), i - k)
+        for h in range(1, hmax + 1):
+            if j - h < 0 or cols.f_value(i, j - h) < k:
+                continue
+            if i == h + k or cols.p_value(i - h - k, j - h - k):
+                return True
+    return False

@@ -9,7 +9,7 @@ import statistics
 
 from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
-from translocsearch.dawg import build_dawg, endpos_positions, walk
+from translocsearch.dawg import build_dawg
 from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import (
     enumerate_images,
@@ -26,7 +26,9 @@ from helpers import (
     EX3_Y,
     bits,
     encode_pair,
+    endpos_positions,
     rand_str,
+    walk,
 )
 
 

@@ -1,9 +1,14 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import translocsearch
 from translocsearch.cli import (
     CSV_HEADER,
     bench_rows,
@@ -175,3 +180,14 @@ class TestBenchCommand:
             trial_seed(42, m, t) for m in (16, 64, 256) for t in range(5)
         }
         assert len(seeds) == 15
+
+
+def test_importing_cli_leaves_numpy_unloaded():
+    src = str(Path(translocsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, translocsearch.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -2,12 +2,7 @@ import random
 
 import pytest
 
-from translocsearch.dp import (
-    DpColumns,
-    common_suffix_cell,
-    dp_search,
-    prefix_match_cell,
-)
+from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import naive_search
 
 from helpers import (
@@ -18,6 +13,7 @@ from helpers import (
     bits,
     brute_common_suffix,
     encode_pair,
+    prefix_match_cell,
     rand_str,
 )
 
@@ -61,11 +57,6 @@ class TestSearch:
 
 
 class TestCommonSuffixTable:
-    def test_cell_recurrence(self):
-        assert common_suffix_cell(3, 1, 1) == 4
-        assert common_suffix_cell(3, 0, 1) == 0
-        assert common_suffix_cell(0, 2, 2) == 1
-
     def test_example_threshold_sets(self):
         cols = run_columns(EX3_X, EX3_Y, upto=5)
         assert bits(cols.f_set(5, 3)) == {3, 7, 13}
@@ -91,7 +82,7 @@ class TestCommonSuffixTable:
         # i is in the level-k set exactly when F[i,j] >= k
         cols = run_columns(EX3_X, EX3_Y)
         j = cols.pos
-        col = cols.f_column(j)
+        col = [cols.f_value(i, j) for i in range(cols.m + 1)]
         for k in range(1, max(col) + 1):
             assert bits(cols.f_set(j, k)) == {
                 i for i, v in enumerate(col) if v >= k

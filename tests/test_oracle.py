@@ -68,6 +68,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="empty pattern"):
             enumerate_images(encode("", infer_alphabet("")))
 
+    def test_long_pattern_hits_cap_not_recursion_limit(self):
+        seq = encode("acgt" * 275, infer_alphabet("acgt"))
+        with pytest.raises(ImageExplosionError, match="image explosion"):
+            enumerate_images(seq, cap=1000)
+
 
 class TestNaiveSearch:
     def test_known_two_swap_match(self):
