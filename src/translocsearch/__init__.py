@@ -10,7 +10,12 @@ Three engines report the same 1-based match end positions:
   prefix-match tables column by column;
 * :func:`translocsearch.automaton.automaton_search` streams the text
   through the pattern's factor automaton in O(m^2) working memory.
+
+Each takes the text as a coded Sequence or as a stream of symbol codes.
 """
+from itertools import chain
+from typing import Iterable
+
 from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, ScanConfig, build_dawg
 from .dp import DpColumns, dp_search
@@ -55,18 +60,22 @@ __all__ = [
 
 def match_ends(
     pattern: str,
-    text: str,
+    text: str | Iterable[str],
     algo: str = "dawg",
     naive_limit: int = DEFAULT_NAIVE_LIMIT,
 ) -> list[int]:
-    """Match end positions for plain strings; the one engine dispatch.
+    """Match end positions for a plain string, or for an iterable of string
+    chunks searched as their concatenation; the one engine dispatch.
 
-    The naive engine refuses patterns longer than ``naive_limit``: its
-    image set grows exponentially with the pattern length.
+    Chunks are encoded one at a time and streamed into the engine, so
+    memory grows with the largest chunk, not with the text.  The naive
+    engine refuses patterns longer than ``naive_limit``: its image set
+    grows exponentially with the pattern length.
     """
     alphabet = infer_alphabet(pattern)
     pat = encode(pattern, alphabet)
-    txt = encode(text, alphabet)
+    chunks = (text,) if isinstance(text, str) else text
+    txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
     if algo == "naive":
         if pat.length > naive_limit:
             raise ValueError(

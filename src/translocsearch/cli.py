@@ -2,9 +2,11 @@
 
 Searching reports one line per match (TSV `record<TAB>end` or a JSON
 array); FASTA records are searched independently and matches never span
-record boundaries.  Benchmarking runs the automaton engine on uniform
-random pattern/text pairs and emits machine-independent work counters as
-CSV; rows are deterministic for a given seed.
+record boundaries.  Input is streamed into the engines a line or chunk at
+a time, so memory depends on the pattern and not on the text.
+Benchmarking runs the automaton engine on uniform random pattern/text
+pairs and emits machine-independent work counters as CSV; rows are
+deterministic for a given seed.
 """
 from __future__ import annotations
 
@@ -12,8 +14,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from itertools import groupby
+from typing import Iterable, Iterator, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
@@ -26,10 +30,16 @@ CSV_HEADER = (
 )
 
 
+# --text-file is read in pieces of this many characters
+CHUNK_CHARS = 2 * 1024
+
+
 @dataclass(frozen=True)
 class FastaRecord:
+    """A record whose sequence is read lazily, as string chunks."""
+
     id: str
-    sequence: str
+    chunks: Iterable[str]
 
 
 @dataclass(frozen=True)
@@ -52,34 +62,52 @@ class BenchRow:
         )
 
 
-def parse_fasta(stream: Iterable[str]) -> list[FastaRecord]:
-    """Standard FASTA: '>' lines open records, sequence lines are
-    concatenated and uppercased, blank lines are ignored."""
-    records: list[FastaRecord] = []
-    rid: str | None = None
-    chunks: list[str] = []
+def parse_fasta(stream: Iterable[str]) -> Iterator[FastaRecord]:
+    """Standard FASTA, read lazily: '>' lines open records, each sequence
+    line is one chunk, uppercased and stripped of whitespace, and blank
+    lines are ignored.
 
-    def flush() -> None:
-        if rid is not None:
-            records.append(FastaRecord(rid, "".join(chunks)))
+    A record's chunks must be read before the next record is taken: taking
+    it skips the rest of the current record.  A malformed line raises
+    ``ValueError`` only when it is reached, after the records before it.
+    """
+    headers = 0
 
-    for line in stream:
-        line = line.strip()
+    def record_index(line: str) -> int:
+        nonlocal headers
         if line.startswith(">"):
-            flush()
-            tokens = line[1:].split()
-            if not tokens:
-                raise ValueError("empty FASTA header")
-            rid = tokens[0]
-            chunks = []
-        elif not line:
-            continue
-        else:
-            if rid is None:
+            headers += 1
+        return headers
+
+    # groupby splits the lines at each header, and reads each group lazily
+    lines = (line.strip() for line in stream)
+    for index, group in groupby(lines, key=record_index):
+        if index == 0:  # lines before the first header
+            if any(group):
                 raise ValueError("missing FASTA header")
-            chunks.append("".join(line.split()).upper())
-    flush()
-    return records
+            continue
+        tokens = next(group)[1:].split()
+        if not tokens:
+            raise ValueError("empty FASTA header")
+        yield FastaRecord(
+            tokens[0], ("".join(line.split()).upper() for line in group if line)
+        )
+
+
+def read_chunks(fh: TextIO) -> Iterator[str]:
+    """The text of ``fh`` in pieces of at most CHUNK_CHARS characters,
+    without its trailing newlines, as ``fh.read().rstrip("\\n")`` would
+    give it; interior newlines stay in the text."""
+    held = 0  # newlines at the end of what was read; dropped if nothing follows
+    for chunk in iter(lambda: fh.read(CHUNK_CHARS), ""):
+        body = chunk.rstrip("\n")
+        if body:
+            while held > 0:
+                yield "\n" * min(held, CHUNK_CHARS)
+                held -= CHUNK_CHARS
+            yield body
+            held = 0
+        held += len(chunk) - len(body)
 
 
 def _load_pattern(args: argparse.Namespace) -> str:
@@ -89,38 +117,44 @@ def _load_pattern(args: argparse.Namespace) -> str:
         return fh.read().strip()
 
 
-def _load_records(args: argparse.Namespace) -> list[FastaRecord]:
+@contextmanager
+def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
+    """The records of the text source, readable inside the ``with`` block."""
     if args.text is not None:
-        return [FastaRecord("stdin", args.text)]
-    if args.text_file is not None:
-        if args.text_file == "-":
-            return [FastaRecord("stdin", sys.stdin.read().rstrip("\n"))]
+        yield [FastaRecord("stdin", (args.text,))]
+    elif args.text_file == "-":
+        yield [FastaRecord("stdin", read_chunks(sys.stdin))]
+    elif args.text_file is not None:
         with open(args.text_file, encoding="utf-8") as fh:
-            return [FastaRecord(args.text_file, fh.read().rstrip("\n"))]
-    with open(args.fasta, encoding="utf-8") as fh:
-        return parse_fasta(fh)
+            yield [FastaRecord(args.text_file, read_chunks(fh))]
+    else:
+        with open(args.fasta, encoding="utf-8") as fh:
+            yield parse_fasta(fh)
 
 
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
+    """TSV lines are written as each record finishes, so an error in a
+    later record leaves them in place; JSON is written once, at the end."""
     pattern_raw = _load_pattern(args)
     if not pattern_raw:
         raise ValueError("empty pattern")
-    records = _load_records(args)
     if args.fasta is not None:
-        # records come back uppercased, so fold the pattern the same way
+        # FASTA sequences are uppercased, so fold the pattern the same way
         pattern_raw = pattern_raw.upper()
 
     matches = []
-    for record in records:
-        ends = match_ends(pattern_raw, record.sequence, args.algo, args.naive_limit)
-        matches.extend((record.id, end) for end in ends)
+    with _open_records(args) as records:
+        for record in records:
+            ends = match_ends(pattern_raw, record.chunks, args.algo, args.naive_limit)
+            if args.format == "json":
+                matches.extend({"record": record.id, "end": end} for end in ends)
+            else:
+                for end in ends:
+                    out.write(f"{record.id}\t{end}\n")
 
     if args.format == "json":
-        json.dump([{"record": rid, "end": end} for rid, end in matches], out)
+        json.dump(matches, out)
         out.write("\n")
-    else:
-        for rid, end in matches:
-            out.write(f"{rid}\t{end}\n")
     return 0
 
 

@@ -29,6 +29,8 @@ handful of word operations per (h,k) pair.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from .seqcore import MatchReport, Sequence
 
 
@@ -126,18 +128,22 @@ class DpColumns:
         return levels[k] if k < len(levels) else 0
 
 
-def dp_search(pattern: Sequence, text: Sequence) -> MatchReport:
+def dp_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
     """All 1-based end positions where the pattern matches a text window
-    after non-overlapping swaps of adjacent factor pairs."""
-    m, n = pattern.length, text.length
+    after non-overlapping swaps of adjacent factor pairs.  ``text`` may be
+    a coded Sequence or any iterable of symbol codes (streams are consumed
+    incrementally)."""
+    m = pattern.length
     if m == 0:
         raise ValueError("empty pattern")
-    if m > n:
-        return MatchReport(())
+    if isinstance(text, Sequence):
+        if m > text.length:
+            return MatchReport(())
+        text = text.codes
     masks = pattern.symbol_masks()
     cols = DpColumns(m)
     hits = []
-    for j, code in enumerate(text.codes, start=1):
+    for j, code in enumerate(text, start=1):
         if cols.push(masks.get(code, 0)):
             hits.append(j)
     return MatchReport(tuple(hits))

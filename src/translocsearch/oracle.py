@@ -9,6 +9,9 @@ fast engines are verified.
 """
 from __future__ import annotations
 
+from collections import deque
+from typing import Iterable
+
 from .seqcore import MatchReport, Sequence
 
 DEFAULT_IMAGE_CAP = 1_000_000
@@ -49,18 +52,28 @@ def enumerate_images(
 
 
 def naive_search(
-    pattern: Sequence, text: Sequence, cap: int = DEFAULT_IMAGE_CAP
+    pattern: Sequence,
+    text: Sequence | Iterable[int],
+    cap: int = DEFAULT_IMAGE_CAP,
 ) -> MatchReport:
-    """Report j iff the window y[j-m+1..j] is an image of the pattern."""
-    m, n = pattern.length, text.length
+    """Report j iff the window y[j-m+1..j] is an image of the pattern.
+
+    ``text`` may be a coded Sequence or any iterable of symbol codes; only
+    the last m codes are kept.
+    """
+    m = pattern.length
     if m == 0:
         raise ValueError("empty pattern")
-    if m > n:
-        return MatchReport(())
-    images = enumerate_images(pattern, cap)
-    codes = text.codes
-    hits = tuple(j for j in range(m, n + 1) if codes[j - m : j] in images)
-    return MatchReport(hits)
+    codes = text.codes if isinstance(text, Sequence) else text
+    window: deque[int] = deque(maxlen=m)
+    hits = []
+    for j, code in enumerate(codes, start=1):
+        window.append(code)
+        if j == m:  # first full window: a text shorter than m never pays for images
+            images = enumerate_images(pattern, cap)
+        if j >= m and tuple(window) in images:
+            hits.append(j)
+    return MatchReport(tuple(hits))
 
 
 def image_count_bound(upto: int) -> list[int]:

@@ -23,24 +23,32 @@ from helpers import EX2_X, EX2_Y, rand_str
 class TestParseFasta:
     def test_concatenation_and_uppercase(self):
         records = parse_fasta(io.StringIO(">r1\nacg\nt\n"))
-        assert [(r.id, r.sequence) for r in records] == [("r1", "ACGT")]
+        assert [(r.id, "".join(r.chunks)) for r in records] == [("r1", "ACGT")]
 
     def test_empty_record_allowed(self):
         records = parse_fasta(io.StringIO(">a\n>b\nGG\n"))
-        assert [(r.id, r.sequence) for r in records] == [("a", ""), ("b", "GG")]
+        assert [(r.id, "".join(r.chunks)) for r in records] == [("a", ""), ("b", "GG")]
 
     def test_sequence_before_header_rejected(self):
         with pytest.raises(ValueError, match="missing FASTA header"):
-            parse_fasta(io.StringIO("acgt\n"))
+            list(parse_fasta(io.StringIO("acgt\n")))
 
     def test_blank_lines_ignored_and_id_is_first_token(self):
-        records = parse_fasta(io.StringIO(">seq1 description here\n\nac\n\ngt\n"))
-        assert records[0].id == "seq1"
-        assert records[0].sequence == "ACGT"
+        record = next(parse_fasta(io.StringIO(">seq1 description here\n\nac\n\ngt\n")))
+        assert record.id == "seq1"
+        assert "".join(record.chunks) == "ACGT"
 
     def test_empty_header_rejected(self):
         with pytest.raises(ValueError, match="empty FASTA header"):
-            parse_fasta(io.StringIO(">\nacgt\n"))
+            list(parse_fasta(io.StringIO(">\nacgt\n")))
+
+    def test_taking_the_next_record_skips_unread_lines(self):
+        records = parse_fasta(io.StringIO(">a\nAC\n>b\nGG\nTT\n>c\nC\n"))
+        first = next(records)
+        assert first.id == "a"
+        second = next(records)
+        assert (second.id, next(iter(second.chunks))) == ("b", "GG")
+        assert [(r.id, "".join(r.chunks)) for r in records] == [("c", "C")]
 
 
 class TestSearchCommand:
