@@ -1,25 +1,27 @@
 """Streaming engine driven by the pattern's factor automaton.
 
-The dynamic-programming engine stores, for each recent text column, the
-family of sets {i : F[i,j] >= k}.  Those sets never need to be stored:
-if the longest pattern factor ending at text position j has length l_j
-and automaton state q_j, then for k <= l_j the set equals the
-end-position mask of the suffix-path ancestor of q_j covering length k
-(see :func:`translocsearch.dawg.suffix_state`), and it is empty for
-k > l_j.
+The dynamic-programming engine stores, for each of the last m+1 text
+columns, the chain of sets {i : F[i,j] >= k} for k = 1..l_j, and builds
+column j's chain from column j-1's.  This engine keeps the same ring of
+chains (it is a :class:`translocsearch.dp.DpColumns`) but reads column
+j's chain off the factor automaton instead: if the longest pattern factor
+ending at text position j has length l_j and automaton state q_j, then
+for k <= l_j the set equals the end-position mask of the suffix-path
+ancestor of q_j covering length k, and it is empty for k > l_j.
 
-So the engine keeps only the last m+1 (state, length) pairs and the last
-m+1 prefix sets P_j, and evaluates the translocation condition by walking
-suffix links while h and k count down, one hop per length unit.  Working
-memory is O(m^2) regardless of text length, and the text is consumed
-strictly left to right, one symbol at a time.
+Each column walks q_j's suffix path once, while h counts down from l_j,
+one hop per length unit at most; the chain holds references to the
+automaton's masks, so no new integers are made.  Working memory is
+O(m^2) regardless of text length, and the text is consumed strictly left
+to right, one symbol at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dawg import Dawg, ScanConfig, advance_with_hops, build_dawg, suffix_state
+from .dawg import START_CONFIG, Dawg, advance_with_hops, build_dawg
+from .dp import DpColumns
 from .seqcore import MatchReport, Sequence
 
 
@@ -29,8 +31,9 @@ class OpCounter:
 
     delta_steps       improved-suffix-link hops while updating the scan
                       configuration
-    suffix_hops       suffix-link hops taken by the countdown walks of the
-                      translocation loops
+    suffix_hops       suffix-link hops taken while filling each column's
+                      chain: one walk down q_j's suffix path per column,
+                      at most l_j hops
     inner_iterations  prefix-set members examined by the innermost loop,
                       i.e. iterations of the (h, k, i) triple loop
     endpos_queries    end-position membership tests (the second test of a
@@ -45,52 +48,40 @@ class OpCounter:
     insertions: int = 0
 
 
-class SearchState:
-    """One search stream: ring buffers of recent configurations and prefix
-    sets, plus the work counters.
-
-    Prefix sets are bitmasks over 0..m with bit 0 permanently set: it is
-    the empty-prefix sentinel that seeds both the extension rule and the
-    recursive part of the translocation rule.
-    """
+class SearchState(DpColumns):
+    """One search stream: the DP's ring of F-chains and P columns, filled
+    from the factor automaton, plus the scan configuration and the work
+    counters."""
 
     def __init__(self, pattern: Sequence, dawg: Dawg | None = None):
-        m = pattern.length
-        if m == 0:
-            raise ValueError("empty pattern")
-        self.m = m
+        super().__init__(pattern.length)
         self.dawg = dawg if dawg is not None else build_dawg(pattern)
         self.ext_masks = pattern.symbol_masks()
-        self.cap = m + 1
-        self.pos = 0
-        self.configs: list[ScanConfig] = [ScanConfig(0, 0)] * self.cap
-        self.prefix_sets: list[int] = [1] + [0] * m
+        self.scan = START_CONFIG
         self.counter = OpCounter()
 
     def step(self, code: int) -> bool:
         """Consume one text symbol; true iff the whole pattern matches at
         the new position.
 
-        The translocation loops run h from l_j down to 1 and k from
-        l_{j-h} down to 1, carrying the suffix-path states incrementally:
-        u is stepped to its suffix link exactly when h sinks to the link's
-        length, so u always covers length h (and p length k) at O(1)
-        amortized cost.  Pairs with h+k > m cannot insert a position
-        <= m and would reach columns older than the ring holds, so their
-        inner loop is skipped.
+        The translocation loops run h from l_j down to 1, carrying u along
+        q_j's suffix path: u is stepped to its suffix link exactly when h
+        sinks to the link's length, so u always covers length h, and
+        endpos[u] is level h of column j's chain.  The k loop reads column
+        j-h's stored chain, bounded as in :meth:`DpColumns.push`.
         """
         d = self.dawg
         cnt = self.counter
         cap = self.cap
-        configs = self.configs
-        psets = self.prefix_sets
+        fcols = self._f
+        psets = self._p
         m = self.m
         endpos = d.endpos
         link_len = d.link_len
         suf = d.suf
 
         j = self.pos + 1
-        prev = configs[(j - 1) % cap]
+        prev = self.scan
         config, hops = advance_with_hops(d, prev.state, prev.length, code)
         cnt.delta_steps += hops
 
@@ -98,71 +89,49 @@ class SearchState:
         cnt.insertions += ext.bit_count()
         pj = 1 | ext
 
+        chain = [self.full] * (config.length + 1)
         u = config.state
         for h in range(config.length, 0, -1):
             if link_len[u] == h:
                 u = suf[u]
                 cnt.suffix_hops += 1
+            ep_u = chain[h] = endpos[u]
             jh = j - h
-            p = configs[jh % cap]
-            v = p.state
-            ep_u = endpos[u]
-            for k in range(p.length, 0, -1):
-                if link_len[v] == k:
-                    v = suf[v]
-                    cnt.suffix_hops += 1
-                if h + k > m or jh - k < 0:
-                    continue
+            fcol = fcols[jh % cap]
+            kend = m - h + 1  # k <= l_{j-h} and h+k <= m; min() costs a call per h
+            if len(fcol) < kend:
+                kend = len(fcol)
+            for k in range(1, kend):
                 pold = psets[(jh - k) % cap]
                 members = pold.bit_count()
                 cnt.inner_iterations += members
                 cnt.endpos_queries += members
                 t = (pold << h) & ep_u
                 cnt.endpos_queries += t.bit_count()
-                add = (t << k) & endpos[v]
+                add = (t << k) & fcol[k]
                 if add:
                     cnt.insertions += add.bit_count()
                     pj |= add
 
-        configs[j % cap] = config
+        self.scan = config
+        fcols[j % cap] = chain
         psets[j % cap] = pj
         self.pos = j
         return (pj >> m) & 1 == 1
-
-    # -- inspection; j is an absolute 1-based text position in the window --
-
-    def _slot(self, j: int) -> int:
-        if not self.pos - self.m <= j <= self.pos:
-            raise IndexError(f"position {j} is outside the live window")
-        return j % self.cap
-
-    def config(self, j: int) -> ScanConfig:
-        return self.configs[self._slot(j)]
-
-    def prefix_set(self, j: int) -> int:
-        return self.prefix_sets[self._slot(j)]
-
-    def factor_end_set(self, j: int, k: int) -> int:
-        """Bitmask of pattern positions where the length-k suffix of the
-        text prefix ending at j occurs; empty when no factor that long
-        ends there."""
-        cfg = self.configs[self._slot(j)]
-        if k < 1 or k > cfg.length:
-            return 0
-        return self.dawg.endpos[suffix_state(self.dawg, cfg.state, k)]
 
     def footprint(self) -> dict[str, int]:
         """Sizes of the live auxiliary structures.
 
         Every prefix set and end-position mask is bounded to m+1 bits by
-        construction (positions 0..m), so the counts reported here are the
-        whole working memory; nothing grows with the text.
+        construction (positions 0..m), and each of the m+1 chains holds at
+        most m+1 references to end-position masks, so the counts reported
+        here are the whole working memory; nothing grows with the text.
         """
         width = self.m + 1
         return {
-            "config_slots": len(self.configs),
-            "prefix_slots": len(self.prefix_sets),
-            "prefix_bits": len(self.prefix_sets) * width,
+            "chain_slots": len(self._f),
+            "prefix_slots": len(self._p),
+            "prefix_bits": len(self._p) * width,
             "dawg_states": self.dawg.state_count,
             "endpos_bits": self.dawg.state_count * width,
         }
@@ -176,10 +145,9 @@ def automaton_search(
     """Run a full search over ``text``, which may be a coded Sequence or
     any iterable of symbol codes (streams are consumed incrementally)."""
     state = SearchState(pattern, dawg)
-    codes = text.codes if isinstance(text, Sequence) else text
     hits = []
     step = state.step
-    for j, code in enumerate(codes, start=1):
+    for j, code in enumerate(text, start=1):
         if step(code):
             hits.append(j)
     return MatchReport(tuple(hits)), state.counter

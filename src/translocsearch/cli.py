@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,8 +31,11 @@ CSV_HEADER = (
 )
 
 
-# --text-file is read in pieces of this many characters
+# --text-file and FASTA lines are read in pieces of this many characters
 CHUNK_CHARS = 2 * 1024
+
+# a header holds its complete ID once a word is followed by whitespace
+ID_END = re.compile(r"\S+\s")
 
 
 @dataclass(frozen=True)
@@ -62,36 +66,44 @@ class BenchRow:
         )
 
 
-def parse_fasta(stream: Iterable[str]) -> Iterator[FastaRecord]:
-    """Standard FASTA, read lazily: '>' lines open records, each sequence
-    line is one chunk, uppercased and stripped of whitespace, and blank
-    lines are ignored.
+def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
+    """Standard FASTA, read lazily in pieces of at most CHUNK_CHARS
+    characters: a '>' at the start of a line opens a record whose ID is the
+    line's first word, each piece of a sequence line is one chunk,
+    uppercased and stripped of whitespace, and blank lines are ignored.
 
     A record's chunks must be read before the next record is taken: taking
     it skips the rest of the current record.  A malformed line raises
     ``ValueError`` only when it is reached, after the records before it.
     """
     headers = 0
+    line_start = True
 
-    def record_index(line: str) -> int:
-        nonlocal headers
-        if line.startswith(">"):
+    def record_index(piece: str) -> int:
+        nonlocal headers, line_start
+        if line_start and piece.lstrip().startswith(">"):
             headers += 1
+        line_start = piece.endswith("\n")
         return headers
 
-    # groupby splits the lines at each header, and reads each group lazily
-    lines = (line.strip() for line in stream)
-    for index, group in groupby(lines, key=record_index):
+    # groupby splits the pieces at each header, and reads each group lazily
+    pieces = iter(lambda: fh.readline(CHUNK_CHARS), "")
+    for index, group in groupby(pieces, key=record_index):
         if index == 0:  # lines before the first header
-            if any(group):
+            if any(not piece.isspace() for piece in group):
                 raise ValueError("missing FASTA header")
             continue
-        tokens = next(group)[1:].split()
+        piece = next(group)
+        head = piece.lstrip()[1:].lstrip()
+        while not piece.endswith("\n"):  # a header line longer than one piece
+            piece = next(group, "\n")
+            if not ID_END.match(head):  # keep only what can hold the ID
+                head = (head + piece).lstrip()
+        tokens = head.split(maxsplit=1)
         if not tokens:
             raise ValueError("empty FASTA header")
-        yield FastaRecord(
-            tokens[0], ("".join(line.split()).upper() for line in group if line)
-        )
+        chunks = ("".join(piece.split()).upper() for piece in group)
+        yield FastaRecord(tokens[0], (chunk for chunk in chunks if chunk))
 
 
 def read_chunks(fh: TextIO) -> Iterator[str]:
@@ -125,11 +137,21 @@ def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
     elif args.text_file == "-":
         yield [FastaRecord("stdin", read_chunks(sys.stdin))]
     elif args.text_file is not None:
-        with open(args.text_file, encoding="utf-8") as fh:
+        with _open_text(args.text_file) as fh:
             yield [FastaRecord(args.text_file, read_chunks(fh))]
     else:
-        with open(args.fasta, encoding="utf-8") as fh:
+        with _open_text(args.fasta) as fh:
             yield parse_fasta(fh)
+
+
+def _open_text(path: str) -> TextIO:
+    """A text file that decodes CHUNK_CHARS characters at a time: a
+    seekable text file keeps a copy of the bytes of its current decoding
+    chunk for ``tell()``, 8 KiB by default, whenever it is read other than
+    by iteration."""
+    fh = open(path, encoding="utf-8")
+    fh._CHUNK_SIZE = CHUNK_CHARS
+    return fh
 
 
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:

@@ -161,20 +161,3 @@ def advance_with_hops(
     if p == -1:
         return START_CONFIG, hops
     return ScanConfig(trans[p][code], dawg.lens[p] + 1), hops
-
-
-def suffix_state(dawg: Dawg, state: int, k: int) -> int:
-    """State whose factor class contains the length-``k`` suffix of the
-    longest factor of ``state``.
-
-    Walks the suffix path until the class covering length ``k`` is found,
-    i.e. the first state p with lens[suf[p]] < k <= lens[p].  Costs at most
-    one hop per length unit since lengths strictly decrease along the path.
-    """
-    if not 1 <= k <= dawg.lens[state]:
-        raise ValueError("invalid suffix length")
-    link_len = dawg.link_len
-    suf = dawg.suf
-    while link_len[state] >= k:
-        state = suf[state]
-    return state

@@ -136,10 +136,6 @@ def dp_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
     m = pattern.length
     if m == 0:
         raise ValueError("empty pattern")
-    if isinstance(text, Sequence):
-        if m > text.length:
-            return MatchReport(())
-        text = text.codes
     masks = pattern.symbol_masks()
     cols = DpColumns(m)
     hits = []

@@ -64,31 +64,12 @@ def naive_search(
     m = pattern.length
     if m == 0:
         raise ValueError("empty pattern")
-    codes = text.codes if isinstance(text, Sequence) else text
     window: deque[int] = deque(maxlen=m)
     hits = []
-    for j, code in enumerate(codes, start=1):
+    for j, code in enumerate(text, start=1):
         window.append(code)
         if j == m:  # first full window: a text shorter than m never pays for images
             images = enumerate_images(pattern, cap)
         if j >= m and tuple(window) in images:
             hits.append(j)
     return MatchReport(tuple(hits))
-
-
-def image_count_bound(upto: int) -> list[int]:
-    """Table of the recursive upper bound on the number of distinct images
-    of a string with pairwise-distinct characters, indices 0..upto.
-
-    The recursion undercounts at length 3 (it gives 4 where enumeration
-    finds 5 images); it is kept verbatim because its only role is inside
-    a bound that also caps entry i+1 by 3**i, which enumeration respects.
-    """
-    if upto < 0:
-        raise ValueError("upto must be non-negative")
-    vals = [1]
-    for k in range(upto):
-        total = sum(vals[: k + 1])
-        total += sum(vals[k - 2 * h - 1] for h in range(1, (k - 1) // 2 + 1))
-        vals.append(total)
-    return vals

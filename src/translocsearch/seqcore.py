@@ -7,6 +7,7 @@ y[j-m+1..j] is involved.  Internal storage is 0-based and never leaks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class Sequence:
     @property
     def length(self) -> int:
         return len(self.codes)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.codes)
 
     def symbol_masks(self) -> dict[int, int]:
         """Bitmask per code with bit i set iff the symbol at 1-based

@@ -113,6 +113,46 @@ def dump(dawg: Dawg, alphabet: Alphabet | None = None) -> str:
     return "\n".join(lines)
 
 
+def p_column(cols: DpColumns, j: int) -> set[int]:
+    """Members of P column j: lengths of the pattern prefixes matched at j."""
+    return {i for i in range(cols.m + 1) if cols.p_value(i, j)}
+
+
+def suffix_state(dawg: Dawg, state: int, k: int) -> int:
+    """State whose factor class contains the length-``k`` suffix of the
+    longest factor of ``state``.
+
+    Walks the suffix path until the class covering length ``k`` is found,
+    i.e. the first state p with lens[suf[p]] < k <= lens[p].  Costs at most
+    one hop per length unit since lengths strictly decrease along the path.
+    """
+    if not 1 <= k <= dawg.lens[state]:
+        raise ValueError("invalid suffix length")
+    link_len = dawg.link_len
+    suf = dawg.suf
+    while link_len[state] >= k:
+        state = suf[state]
+    return state
+
+
+def image_count_bound(upto: int) -> list[int]:
+    """Table of the recursive upper bound on the number of distinct images
+    of a string with pairwise-distinct characters, indices 0..upto.
+
+    The recursion undercounts at length 3 (it gives 4 where enumeration
+    finds 5 images); it is kept verbatim because its only role is inside
+    a bound that also caps entry i+1 by 3**i, which enumeration respects.
+    """
+    if upto < 0:
+        raise ValueError("upto must be non-negative")
+    vals = [1]
+    for k in range(upto):
+        total = sum(vals[: k + 1])
+        total += sum(vals[k - 2 * h - 1] for h in range(1, (k - 1) // 2 + 1))
+        vals.append(total)
+    return vals
+
+
 def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: int, yj: int) -> bool:
     """P cell recurrence evaluated literally from stored columns.
 

@@ -11,11 +11,7 @@ from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
 from translocsearch.dawg import build_dawg
 from translocsearch.dp import DpColumns, dp_search
-from translocsearch.oracle import (
-    enumerate_images,
-    image_count_bound,
-    naive_search,
-)
+from translocsearch.oracle import enumerate_images, naive_search
 from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import (
@@ -27,6 +23,7 @@ from helpers import (
     bits,
     encode_pair,
     endpos_positions,
+    image_count_bound,
     rand_str,
     walk,
 )
@@ -74,7 +71,7 @@ def test_criterion_3_common_suffix_sets_both_routes():
         cols.push(masks.get(code, 0))
         state.step(code)
     dp3, dp2 = bits(cols.f_set(5, 3)), bits(cols.f_set(5, 2))
-    au3, au2 = bits(state.factor_end_set(5, 3)), bits(state.factor_end_set(5, 2))
+    au3, au2 = bits(state.f_set(5, 3)), bits(state.f_set(5, 2))
     ok = dp3 == au3 == {3, 7, 13} and dp2 == au2 == {3, 7, 10, 13}
     assert report(3, ok, f"threshold sets at column 5: {dp3} {dp2} via DP, "
                          f"{au3} {au2} via automaton")
@@ -227,7 +224,7 @@ def test_criterion_9_working_memory_independent_of_text_length():
         step = state.step
         for _ in range(n):
             step(gen.randrange(4))
-        assert all(p.bit_length() <= pat.length + 1 for p in state.prefix_sets)
+        assert all(p.bit_length() <= pat.length + 1 for p in state._p)
         footprints.append(state.footprint())
     ok = footprints[0] == footprints[1]
     assert report(9, ok, f"m=64 footprints for n=1e3 and n=1e6: "

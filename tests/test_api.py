@@ -55,18 +55,26 @@ def test_version_exposed():
 
 def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     """The benchmark times layers by swapping module globals; every traced
-    call must stay reachable that way from both entry points."""
+    call must stay reachable that way from both entry points, and neither
+    engine may run through the other's layer (`SearchState` inherits
+    `DpColumns.push`)."""
     fasta = tmp_path / "t.fa"
     fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n")
+    other_layer = {"dp": "automaton.SearchState.step", "dawg": "dp.DpColumns.push"}
+    per_pass = {}
     tracer = Tracer()
     tracer.install()
     try:
         for algo in ("dp", "dawg"):
+            first = tracer.span_count
             assert ts.match_ends(EX2_X, EX2_Y, algo) == [12]
             argv = ["search", "--pattern", EX2_X, "--fasta", str(fasta), "--algo", algo]
             assert cli.main(argv) == 0
+            per_pass[algo] = {tracer.names[i] for i in tracer.name_ids[first:]}
     finally:
         tracer.uninstall()
     assert tracer.missing == []
     recorded = {tracer.names[i] for i in tracer.name_ids}
     assert recorded == {name for name, _, _ in LAYER_CALLS}
+    for algo, names in per_pass.items():
+        assert other_layer[algo] not in names, algo

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from translocsearch.automaton import OpCounter, SearchState, automaton_search
-from translocsearch.dawg import ROOT, build_dawg, suffix_state
+from translocsearch.dawg import START_CONFIG, advance_with_hops, build_dawg
 from translocsearch.dp import dp_search
 from translocsearch.oracle import naive_search
 from translocsearch.seqcore import encode, infer_alphabet
@@ -18,7 +18,9 @@ from helpers import (
     bits,
     brute_factor_suffix_ends,
     encode_pair,
+    p_column,
     rand_str,
+    suffix_state,
 )
 
 
@@ -61,23 +63,22 @@ class TestStep:
         state = SearchState(encode("abc", alphabet))
         matched = state.step(alphabet.sentinel)
         assert matched is False
-        assert state.config(1).state == ROOT
-        assert state.config(1).length == 0
-        assert bits(state.prefix_set(1)) == {0}
+        assert state.scan == START_CONFIG
+        assert p_column(state, 1) == {0}
 
     def test_first_position_extension_only(self):
         pat, txt = encode_pair("ab", "ab")
         state = SearchState(pat)
         state.step(txt.codes[0])
-        assert bits(state.prefix_set(1)) == {0, 1}
+        assert p_column(state, 1) == {0, 1}
 
     def test_single_swap_hand_trace(self):
         pat, txt = encode_pair("ab", "ba")
         state = SearchState(pat)
         assert state.step(txt.codes[0]) is False
-        assert bits(state.prefix_set(1)) == {0}
+        assert p_column(state, 1) == {0}
         assert state.step(txt.codes[1]) is True
-        assert 2 in bits(state.prefix_set(2))
+        assert 2 in p_column(state, 2)
 
     def test_counters_monotone(self):
         pat, txt = encode_pair(EX2_X, EX2_Y + EX2_Y)
@@ -103,24 +104,24 @@ class TestFactorEndSets:
         state = SearchState(pat)
         for code in txt.codes[:5]:
             state.step(code)
-        assert bits(state.factor_end_set(5, 3)) == {3, 7, 13}
-        assert bits(state.factor_end_set(5, 2)) == {3, 7, 10, 13}
+        assert bits(state.f_set(5, 3)) == {3, 7, 13}
+        assert bits(state.f_set(5, 2)) == {3, 7, 10, 13}
 
     def test_full_length_equals_state_end_positions(self):
         pat, txt = encode_pair(EX3_X, EX3_Y)
         state = SearchState(pat)
         for code in txt.codes[:5]:
             state.step(code)
-        cfg = state.config(5)
-        assert state.factor_end_set(5, cfg.length) == state.dawg.endpos[cfg.state]
+        cfg = state.scan
+        assert state.f_set(5, cfg.length) == state.dawg.endpos[cfg.state]
 
     def test_too_long_suffix_gives_empty_set(self):
         pat, txt = encode_pair("ab", "zzz")
         state = SearchState(pat)
         for code in txt.codes:
             state.step(code)
-        assert state.factor_end_set(3, 1) == 0
-        assert state.factor_end_set(3, 2) == 0
+        assert state.f_set(3, 1) == 0
+        assert state.f_set(3, 2) == 0
 
     def test_matches_brute_force(self):
         rng = random.Random(101)
@@ -132,8 +133,8 @@ class TestFactorEndSets:
             state = SearchState(pat)
             for j, code in enumerate(txt.codes, start=1):
                 state.step(code)
-                for k in range(1, state.config(j).length + 1):
-                    assert bits(state.factor_end_set(j, k)) == (
+                for k in range(1, state.scan.length + 1):
+                    assert bits(state.f_set(j, k)) == (
                         brute_factor_suffix_ends(x, y[:j], k)
                     ), (x, y, j, k)
 
@@ -194,7 +195,7 @@ class TestResourceBounds:
             for _ in range(n):
                 state.step(r.randrange(4))
             # every live mask stays within its m+1-bit budget
-            assert all(p.bit_length() <= pat.length + 1 for p in state.prefix_sets)
+            assert all(p.bit_length() <= pat.length + 1 for p in state._p)
             footprints.append(state.footprint())
         assert footprints[0] == footprints[1]
 
@@ -215,6 +216,42 @@ class TestResourceBounds:
         report, counter = automaton_search(pat, txt)
         assert report.end_positions == ()
         assert counter.inner_iterations == 0
+
+
+def golden_inputs() -> dict[str, tuple[str, str]]:
+    rng = random.Random(6)
+    x = rand_str(rng, 4, 64)
+    swapped = x[40:] + x[:40]  # one translocation, planted mid-text
+    return {
+        "random": (x, rand_str(rng, 4, 1500) + swapped + rand_str(rng, 4, 1500)),
+        "period-2": ("ab" * 16, "ab" * 300),
+        "unary": ("a" * 32, "a" * 600),
+    }
+
+
+# Every field but suffix_hops is the value of the earlier engine, which
+# walked column j-h's suffix path again for every h; suffix_hops counts
+# one walk per column, at most l_j hops each.
+GOLDEN_COUNTERS = {
+    "random": (1, OpCounter(2259, 5127, 75394, 82066, 1936)),
+    "period-2": (569, OpCounter(284, 8760, 6983120, 9307824, 601764)),
+    "unary": (569, OpCounter(568, 18104, 9215184, 15418656, 3164088)),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_COUNTERS)
+def test_counters_on_golden_inputs(name):
+    x, y = golden_inputs()[name]
+    pat, txt = encode_pair(x, y)
+    report, counter = automaton_search(pat, txt)
+    hits, expected = GOLDEN_COUNTERS[name]
+    assert (len(report), counter) == (hits, expected)
+    d = build_dawg(pat)
+    config, total_l = START_CONFIG, 0
+    for code in txt:
+        config, _ = advance_with_hops(d, config.state, config.length, code)
+        total_l += config.length
+    assert counter.suffix_hops <= total_l
 
 
 def test_opcounter_starts_at_zero():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import translocsearch
+from translocsearch import cli
 from translocsearch.cli import (
     CSV_HEADER,
     bench_rows,
@@ -41,6 +42,15 @@ class TestParseFasta:
     def test_empty_header_rejected(self):
         with pytest.raises(ValueError, match="empty FASTA header"):
             list(parse_fasta(io.StringIO(">\nacgt\n")))
+
+    def test_only_a_line_start_opens_a_record(self, monkeypatch):
+        # in 3-character pieces, ">z" continues a header line and ">T" a
+        # sequence line
+        monkeypatch.setattr(cli, "CHUNK_CHARS", 3)
+        records = parse_fasta(io.StringIO(">r1 xy>z\nacg>t\n>r2\nA\n"))
+        assert [(r.id, "".join(r.chunks)) for r in records] == [
+            ("r1", "ACG>T"), ("r2", "A")
+        ]
 
     def test_taking_the_next_record_skips_unread_lines(self):
         records = parse_fasta(io.StringIO(">a\nAC\n>b\nGG\nTT\n>c\nC\n"))

@@ -8,7 +8,6 @@ from translocsearch.dawg import (
     ScanConfig,
     advance_with_hops,
     build_dawg,
-    suffix_state,
 )
 from translocsearch.seqcore import encode, infer_alphabet
 
@@ -22,6 +21,7 @@ from helpers import (
     dump,
     endpos_positions,
     rand_str,
+    suffix_state,
     walk,
 )
 

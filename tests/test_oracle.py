@@ -5,12 +5,11 @@ import pytest
 from translocsearch.oracle import (
     ImageExplosionError,
     enumerate_images,
-    image_count_bound,
     naive_search,
 )
 from translocsearch.seqcore import encode, infer_alphabet
 
-from helpers import EX2_X, EX2_Y, encode_pair, rand_str
+from helpers import EX2_X, EX2_Y, encode_pair, image_count_bound, rand_str
 
 
 def images_of(s: str) -> set[str]:

@@ -134,13 +134,17 @@ def run_search(argv: list[str]) -> str:
 
 
 @pytest.mark.parametrize("width", [1, 7, 60, None])
-def test_fasta_output_does_not_depend_on_line_width(tmp_path, width):
+def test_fasta_output_does_not_depend_on_line_width(tmp_path, monkeypatch, width):
+    """Also with lines read in 3-character pieces, so headers and sequence
+    lines span several pieces."""
     fasta = tmp_path / "records.fa"
     fasta.write_text(fasta_text(width))
-    for algo in ENGINES:
-        argv = ["--pattern", PATTERN, "--fasta", str(fasta), "--algo", algo]
-        assert run_search(argv) == GOLDEN_TSV, algo
-        assert run_search([*argv, "--format", "json"]) == GOLDEN_JSON, algo
+    for chunk_chars in (cli.CHUNK_CHARS, 3):
+        monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+        for algo in ENGINES:
+            argv = ["--pattern", PATTERN, "--fasta", str(fasta), "--algo", algo]
+            assert run_search(argv) == GOLDEN_TSV, (chunk_chars, algo)
+            assert run_search([*argv, "--format", "json"]) == GOLDEN_JSON, (chunk_chars, algo)
 
 
 def long_text() -> tuple[str, list[int]]:
@@ -218,9 +222,11 @@ def test_search_memory_is_flat_in_text_length(tmp_path):
         seq = "".join(rng.choice("ACGT" + "N" * 12) for _ in range(n))
         fasta = tmp_path / f"{n}.fa"
         fasta.write_text(">r\n" + "".join(seq[p : p + 60] + "\n" for p in range(0, n, 60)))
+        unwrapped = tmp_path / f"{n}-unwrapped.fa"
+        unwrapped.write_text(f">r\n{seq}\n")
         text = tmp_path / f"{n}.txt"
         text.write_text(seq + "\n")
-        inputs[n] = {"--fasta": fasta, "--text-file": text}
+        inputs[n] = [("--fasta", fasta), ("--fasta", unwrapped), ("--text-file", text)]
 
     def peak(argv: list[str]) -> int:
         gc.collect()
@@ -231,10 +237,10 @@ def test_search_memory_is_flat_in_text_length(tmp_path):
         finally:
             tracemalloc.stop()
 
-    for source in ("--fasta", "--text-file"):
+    for (source, short), (_, long) in zip(inputs[1_000], inputs[100_000]):
         for algo in ("dawg", "dp"):
             argv = ["--pattern", pattern, "--algo", algo, source]
-            run_search([*argv, str(inputs[1_000][source])])  # warm-up
-            small = peak([*argv, str(inputs[1_000][source])])
-            large = peak([*argv, str(inputs[100_000][source])])
-            assert large - small < 64 * 1024, (source, algo, small, large)
+            run_search([*argv, str(short)])  # warm-up
+            small = peak([*argv, str(short)])
+            large = peak([*argv, str(long)])
+            assert large - small < 64 * 1024, (long.name, algo, small, large)
