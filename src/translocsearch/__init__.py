@@ -85,6 +85,6 @@ def match_ends(
     if algo == "dp":
         return list(dp_search(pat, txt).end_positions)
     if algo == "dawg":
-        report, _ = automaton_search(pat, txt)
+        report, _ = automaton_search(pat, txt, count=False)
         return list(report.end_positions)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -14,6 +14,10 @@ one hop per length unit at most; the chain holds references to the
 automaton's masks, so no new integers are made.  Working memory is
 O(m^2) regardless of text length, and the text is consumed strictly left
 to right, one symbol at a time.
+
+The step counts nothing.  Work counters are derived per column, after
+the step, from what the ring already holds (:meth:`SearchState.tally`);
+only callers that want them pay for them.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from .seqcore import MatchReport, Sequence
 
 @dataclass
 class OpCounter:
-    """Work counters for one search stream.
+    """Work counters for one search stream, added once per column by
+    :meth:`SearchState.tally`.
 
     delta_steps       improved-suffix-link hops while updating the scan
                       configuration
@@ -36,9 +41,11 @@ class OpCounter:
                       at most l_j hops
     inner_iterations  prefix-set members examined by the innermost loop,
                       i.e. iterations of the (h, k, i) triple loop
-    endpos_queries    end-position membership tests (the second test of a
-                      pair runs only when the first passed)
-    insertions        prefix-set insertions, extensions included
+    endpos_queries    (h, k) pairs visited, one word-wide end-position test
+                      each: sum over h of min(l_{j-h}, m-h), the pairs the
+                      DP's condition (b) visits too
+    insertions        prefix lengths matched at each column, the empty
+                      prefix excepted: |P_j| - 1
     """
 
     delta_steps: int = 0
@@ -50,15 +57,15 @@ class OpCounter:
 
 class SearchState(DpColumns):
     """One search stream: the DP's ring of F-chains and P columns, filled
-    from the factor automaton, plus the scan configuration and the work
-    counters."""
+    from the factor automaton, plus the scan configuration."""
 
     def __init__(self, pattern: Sequence, dawg: Dawg | None = None):
         super().__init__(pattern.length)
         self.dawg = dawg if dawg is not None else build_dawg(pattern)
         self.ext_masks = pattern.symbol_masks()
         self.scan = START_CONFIG
-        self.counter = OpCounter()
+        self.hops = 0  # improved-link hops of the last advance
+        self._sums: list[int] | None = None  # tally's ring, made on first use
 
     def step(self, code: int) -> bool:
         """Consume one text symbol; true iff the whole pattern matches at
@@ -71,7 +78,6 @@ class SearchState(DpColumns):
         j-h's stored chain, bounded as in :meth:`DpColumns.push`.
         """
         d = self.dawg
-        cnt = self.counter
         cap = self.cap
         fcols = self._f
         psets = self._p
@@ -82,19 +88,15 @@ class SearchState(DpColumns):
 
         j = self.pos + 1
         prev = self.scan
-        config, hops = advance_with_hops(d, prev.state, prev.length, code)
-        cnt.delta_steps += hops
+        config, self.hops = advance_with_hops(d, prev.state, prev.length, code)
 
-        ext = (psets[(j - 1) % cap] << 1) & self.ext_masks.get(code, 0)
-        cnt.insertions += ext.bit_count()
-        pj = 1 | ext
+        pj = 1 | ((psets[(j - 1) % cap] << 1) & self.ext_masks.get(code, 0))
 
         chain = [self.full] * (config.length + 1)
         u = config.state
         for h in range(config.length, 0, -1):
             if link_len[u] == h:
                 u = suf[u]
-                cnt.suffix_hops += 1
             ep_u = chain[h] = endpos[u]
             jh = j - h
             fcol = fcols[jh % cap]
@@ -102,15 +104,8 @@ class SearchState(DpColumns):
             if len(fcol) < kend:
                 kend = len(fcol)
             for k in range(1, kend):
-                pold = psets[(jh - k) % cap]
-                members = pold.bit_count()
-                cnt.inner_iterations += members
-                cnt.endpos_queries += members
-                t = (pold << h) & ep_u
-                cnt.endpos_queries += t.bit_count()
-                add = (t << k) & fcol[k]
+                add = (((psets[(jh - k) % cap] << h) & ep_u) << k) & fcol[k]
                 if add:
-                    cnt.insertions += add.bit_count()
                     pj |= add
 
         self.scan = config
@@ -118,6 +113,52 @@ class SearchState(DpColumns):
         psets[j % cap] = pj
         self.pos = j
         return (pj >> m) & 1 == 1
+
+    def tally(self, counter: OpCounter) -> None:
+        """Add the work of the last step to ``counter``, at O(l_j) cost.
+
+        Reads the ring the step left behind, so it must follow every step
+        from the first.  The step's (h, k, i) iterations come from R, a
+        ring of m+2 running sums R[t] = |P_0| + ... + |P_t| (R[-1] = 0):
+        for each h the k loop reads P[j-h-1] down to P[j-h-K_h], with
+        K_h = min(l_{j-h}, m-h), which is R[j-h-1] - R[j-h-1-K_h] members.
+        """
+        j = self.pos
+        cap = self.cap
+        ring = cap + 1
+        sums = self._sums
+        if sums is None:
+            if j != 1:
+                raise RuntimeError("tally must follow every step from the first")
+            sums = self._sums = [1] + [0] * cap  # P_0 holds the sentinel
+        size = self._p[j % cap].bit_count()
+        sums[j % ring] = sums[(j - 1) % ring] + size
+
+        d = self.dawg
+        link_len = d.link_len
+        suf = d.suf
+        u = self.scan.state
+        walk = 0
+        while link_len[u] > 0:  # the hops the step's countdown walk took
+            u = suf[u]
+            walk += 1
+
+        fcols = self._f
+        m = self.m
+        pairs = members = 0
+        for h in range(1, len(fcols[j % cap])):
+            jh = j - h
+            kk = len(fcols[jh % cap]) - 1
+            if kk > m - h:
+                kk = m - h
+            pairs += kk
+            members += sums[(jh - 1) % ring] - sums[(jh - 1 - kk) % ring]
+
+        counter.delta_steps += self.hops
+        counter.suffix_hops += walk
+        counter.inner_iterations += members
+        counter.endpos_queries += pairs
+        counter.insertions += size - 1
 
     def footprint(self) -> dict[str, int]:
         """Sizes of the live auxiliary structures.
@@ -141,13 +182,20 @@ def automaton_search(
     pattern: Sequence,
     text: Sequence | Iterable[int],
     dawg: Dawg | None = None,
-) -> tuple[MatchReport, OpCounter]:
+    count: bool = True,
+) -> tuple[MatchReport, OpCounter | None]:
     """Run a full search over ``text``, which may be a coded Sequence or
-    any iterable of symbol codes (streams are consumed incrementally)."""
+    any iterable of symbol codes (streams are consumed incrementally).
+
+    The counter is None when ``count`` is false; the search then does no
+    counting work at all."""
     state = SearchState(pattern, dawg)
+    counter = OpCounter() if count else None
     hits = []
     step = state.step
     for j, code in enumerate(text, start=1):
         if step(code):
             hits.append(j)
-    return MatchReport(tuple(hits)), state.counter
+        if counter is not None:
+            state.tally(counter)
+    return MatchReport(tuple(hits)), counter

@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
@@ -148,8 +149,13 @@ def _open_text(path: str) -> TextIO:
     """A text file that decodes CHUNK_CHARS characters at a time: a
     seekable text file keeps a copy of the bytes of its current decoding
     chunk for ``tell()``, 8 KiB by default, whenever it is read other than
-    by iteration."""
-    fh = open(path, encoding="utf-8")
+    by iteration.  A path ending in ``.gz`` is decompressed as it is read."""
+    if path.endswith(".gz"):
+        import gzip  # only gzipped input needs it; keeps `utd search` start-up fast
+
+        fh = gzip.open(path, "rt", encoding="utf-8")
+    else:
+        fh = open(path, encoding="utf-8")
     fh._CHUNK_SIZE = CHUNK_CHARS
     return fh
 
@@ -251,8 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     pat.add_argument("--pattern-file", help="file holding the pattern")
     txt = search.add_mutually_exclusive_group(required=True)
     txt.add_argument("--text", help="text string")
-    txt.add_argument("--text-file", help="file holding the text ('-' for stdin)")
-    txt.add_argument("--fasta", help="FASTA file; records searched independently")
+    txt.add_argument(
+        "--text-file", help="file holding the text ('-' for stdin; .gz is decompressed)"
+    )
+    txt.add_argument(
+        "--fasta", help="FASTA file, optionally .gz; records searched independently"
+    )
     search.add_argument(
         "--algo", choices=("naive", "dp", "dawg"), default="dawg",
         help="engine to use (default: dawg)",
@@ -282,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             return cmd_search(args, sys.stdout)
         return cmd_bench(args, sys.stdout)
-    except (OSError, ValueError, ImageExplosionError) as exc:
+    # a truncated .gz file raises EOFError, a corrupt one zlib.error
+    except (OSError, ValueError, EOFError, zlib.error, ImageExplosionError) as exc:
         print(f"utd: error: {exc}", file=sys.stderr)
         return 2
 

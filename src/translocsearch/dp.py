@@ -89,8 +89,10 @@ class DpColumns:
             fh = chain[h]
             jh = j - h
             fcol = self._f[jh % cap]
-            kmax = min(len(fcol) - 1, m - h)
-            for kk in range(1, kmax + 1):
+            kend = m - h + 1  # k <= l_{j-h} and h+k <= m; min() costs a call per h
+            if len(fcol) < kend:
+                kend = len(fcol)
+            for kk in range(1, kend):
                 add = (((plist[(jh - kk) % cap] << h) & fh) << kk) & fcol[kk]
                 if add:
                     p |= add

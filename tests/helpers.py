@@ -7,8 +7,10 @@ so they stay independent of the code paths they verify.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
-from translocsearch.dawg import ROOT, Dawg
+from translocsearch.automaton import OpCounter
+from translocsearch.dawg import ROOT, START_CONFIG, Dawg, advance_with_hops, build_dawg
 from translocsearch.dp import DpColumns
 from translocsearch.seqcore import Alphabet, Sequence, encode, infer_alphabet
 
@@ -133,6 +135,42 @@ def suffix_state(dawg: Dawg, state: int, k: int) -> int:
     while link_len[state] >= k:
         state = suf[state]
     return state
+
+
+def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
+    """The automaton engine's work counters, recomputed without it: the
+    F and P columns come from a plain DP run, l_j and |P_j| are read from
+    them cell by cell, and the (h, k) pairs are enumerated one by one.
+
+    For each h = 1..l_j the engine visits k = 1..min(l_{j-h}, m-h) and
+    examines every member of P_{j-h-k}; its countdown walk visits each
+    distinct state suffix_state(q_j, k), k = 1..l_j, once, hopping between
+    them.
+    """
+    m = pattern.length
+    dawg = build_dawg(pattern)
+    masks = pattern.symbol_masks()
+    cols = DpColumns(m)
+    counter = OpCounter()
+    config = START_CONFIG
+    lengths = [0]  # l_j, the deepest F level of column j
+    sizes = [1]  # |P_j|; P_0 holds only the empty prefix
+    for code in text:
+        config, hops = advance_with_hops(dawg, config.state, config.length, code)
+        cols.push(masks.get(code, 0))
+        j = cols.pos
+        lengths.append(max(cols.f_value(i, j) for i in range(m + 1)))
+        sizes.append(len(p_column(cols, j)))
+        assert lengths[j] == config.length
+        counter.delta_steps += hops
+        states = {suffix_state(dawg, config.state, k) for k in range(1, lengths[j] + 1)}
+        counter.suffix_hops += max(len(states) - 1, 0)
+        for h in range(1, lengths[j] + 1):
+            for k in range(1, min(lengths[j - h], m - h) + 1):
+                counter.endpos_queries += 1
+                counter.inner_iterations += sizes[j - h - k]
+        counter.insertions += sizes[j] - 1
+    return counter
 
 
 def image_count_bound(upto: int) -> list[int]:

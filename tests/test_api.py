@@ -9,6 +9,7 @@ from translocsearch import cli
 from helpers import EX2_X, EX2_Y, encode_pair
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from run import hk_pairs, scan_lengths  # noqa: E402
 from tracing import LAYER_CALLS, Tracer  # noqa: E402
 
 
@@ -78,3 +79,21 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     assert recorded == {name for name, _, _ in LAYER_CALLS}
     for algo, names in per_pass.items():
         assert other_layer[algo] not in names, algo
+
+
+def test_search_paths_do_not_count(tmp_path, monkeypatch):
+    def refuse(self, counter):
+        raise AssertionError("a search path ran the work tally")
+
+    monkeypatch.setattr(ts.SearchState, "tally", refuse)
+    assert ts.match_ends(EX2_X, EX2_Y, "dawg") == [12]
+    fasta = tmp_path / "t.fa"
+    fasta.write_text(f">r1\n{EX2_Y}\n")
+    assert cli.main(["search", "--pattern", EX2_X, "--fasta", str(fasta)]) == 0
+
+
+def test_endpos_queries_equal_the_benchmark_pair_count():
+    pat, txt = encode_pair(EX2_X, EX2_Y * 5 + EX2_X[::-1] * 3)
+    d = ts.build_dawg(pat)
+    _, counter = ts.automaton_search(pat, txt, d)
+    assert counter.endpos_queries == hk_pairs(scan_lengths(ts, d, txt), pat.length) > 0

@@ -20,6 +20,7 @@ from helpers import (
     encode_pair,
     p_column,
     rand_str,
+    reference_counts,
     suffix_state,
 )
 
@@ -83,10 +84,11 @@ class TestStep:
     def test_counters_monotone(self):
         pat, txt = encode_pair(EX2_X, EX2_Y + EX2_Y)
         state = SearchState(pat)
+        c = OpCounter()
         last = (0, 0, 0, 0, 0)
         for code in txt.codes:
             state.step(code)
-            c = state.counter
+            state.tally(c)
             now = (
                 c.delta_steps,
                 c.suffix_hops,
@@ -203,11 +205,13 @@ class TestResourceBounds:
         m, n = 6, 24
         pat, txt = encode_pair("a" * m, "a" * n)
         state = SearchState(pat)
+        counter = OpCounter()
         bound = (m + 1) * m * (m + 1)
         before = 0
         for code in txt.codes:
             state.step(code)
-            after = state.counter.inner_iterations
+            state.tally(counter)
+            after = counter.inner_iterations
             assert after - before <= bound
             before = after
 
@@ -229,13 +233,14 @@ def golden_inputs() -> dict[str, tuple[str, str]]:
     }
 
 
-# Every field but suffix_hops is the value of the earlier engine, which
-# walked column j-h's suffix path again for every h; suffix_hops counts
-# one walk per column, at most l_j hops each.
+# delta_steps and inner_iterations are the values of the earlier engine,
+# which walked column j-h's suffix path again for every h; suffix_hops
+# counts one walk per column, at most l_j hops each.  endpos_queries
+# counts (h, k) pairs and insertions |P_j| - 1, per column.
 GOLDEN_COUNTERS = {
-    "random": (1, OpCounter(2259, 5127, 75394, 82066, 1936)),
-    "period-2": (569, OpCounter(284, 8760, 6983120, 9307824, 601764)),
-    "unary": (569, OpCounter(568, 18104, 9215184, 15418656, 3164088)),
+    "random": (1, OpCounter(2259, 5127, 75394, 38692, 1775)),
+    "period-2": (569, OpCounter(284, 8760, 6983120, 287184, 14024)),
+    "unary": (569, OpCounter(568, 18104, 9215184, 287184, 18704)),
 }
 
 
@@ -246,6 +251,7 @@ def test_counters_on_golden_inputs(name):
     report, counter = automaton_search(pat, txt)
     hits, expected = GOLDEN_COUNTERS[name]
     assert (len(report), counter) == (hits, expected)
+    assert counter == reference_counts(pat, txt)
     d = build_dawg(pat)
     config, total_l = START_CONFIG, 0
     for code in txt:

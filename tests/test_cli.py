@@ -200,12 +200,21 @@ class TestBenchCommand:
         assert len(seeds) == 15
 
 
-def test_importing_cli_leaves_numpy_unloaded():
+def cold_import_loads(module: str) -> bool:
+    """Whether a fresh interpreter that imports the CLI has ``module`` loaded."""
     src = str(Path(translocsearch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, translocsearch.cli; print('numpy' in sys.modules)"
+    code = f"import sys, translocsearch.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_importing_cli_leaves_numpy_unloaded():
+    assert not cold_import_loads("numpy")
+
+
+def test_importing_cli_leaves_gzip_unloaded():
+    assert not cold_import_loads("gzip")

@@ -2,6 +2,7 @@
 CLI's output does not depend on how its input is split into lines or
 chunks, and its memory does not grow with the text."""
 import gc
+import gzip
 import io
 import os
 import random
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 import translocsearch
 from translocsearch import cli, match_ends
+from translocsearch.automaton import automaton_search
+from translocsearch.dp import dp_search
 from translocsearch.oracle import enumerate_images
 
-from helpers import encode_pair
+from helpers import encode_pair, reference_counts
 
 ENGINES = ("naive", "dp", "dawg")
 
@@ -87,6 +90,23 @@ def test_chunked_text_matches_whole_text_on_every_engine(pattern, case):
         chunks = (piece for piece in split(text, cuts))  # one pass only
         assert match_ends(pattern, chunks, algo) == expected, algo
         assert match_ends(pattern, text, algo) == expected, algo
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=patterns, text=texts)
+@example(pattern="abc", text="ab")  # m > n
+@example(pattern="a", text="aNa")  # m = 1
+@example(pattern="aaaa", text="a" * 40)  # unary: l_j reaches m
+@example(pattern="abab", text="ab" * 20)  # period 2
+def test_counted_search_matches_reference_counts(pattern, text):
+    """The per-column tally equals counts enumerated pair by pair, and
+    counting changes no hit."""
+    pat, txt = encode_pair(pattern, text)
+    report, counter = automaton_search(pat, txt)
+    assert counter == reference_counts(pat, txt)
+    uncounted, none = automaton_search(pat, iter(txt), count=False)
+    assert none is None
+    assert report == uncounted == dp_search(pat, txt)
 
 
 # Output of the search below at the commit before streaming input (one
@@ -178,6 +198,29 @@ def test_long_text_file_matches_whole_text(tmp_path, monkeypatch):
         assert run_search([*argv, "--text-file", str(path)]) == expected, algo
         monkeypatch.setattr("sys.stdin", io.StringIO(content))
         assert run_search([*argv, "--text-file", "-"]) == expected.replace(str(path), "stdin")
+
+
+def test_gzipped_input_gives_the_plain_output(tmp_path):
+    content, _ = long_text()
+    sources = {"--fasta": fasta_text(60), "--text-file": content}
+    for source, text in sources.items():
+        plain = tmp_path / f"{source[2:]}.txt"
+        plain.write_text(text)
+        packed = tmp_path / f"{source[2:]}.txt.gz"
+        packed.write_bytes(gzip.compress(text.encode()))
+        for algo in ("dawg", "dp"):
+            argv = ["--pattern", PATTERN.upper(), "--algo", algo, source]
+            expected = run_search([*argv, str(plain)]).replace(str(plain), str(packed))
+            assert expected and run_search([*argv, str(packed)]) == expected, (source, algo)
+
+
+@pytest.mark.parametrize("source", ["--fasta", "--text-file"])
+def test_truncated_gzip_exits_2_with_a_message(tmp_path, capsys, source):
+    packed = gzip.compress(fasta_text(60).encode())
+    path = tmp_path / "cut.fa.gz"
+    path.write_bytes(packed[: len(packed) // 2])
+    assert cli.main(["search", "--pattern", PATTERN, source, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("utd: error: Compressed file ended")
 
 
 @pytest.mark.parametrize(
