@@ -12,9 +12,13 @@ Three engines report the same 1-based match end positions:
   through the pattern's factor automaton in O(m^2) working memory.
 
 Each takes the text as a coded Sequence or as a stream of symbol codes.
+:func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
+covered by windows whose symbol counts equal the pattern's: every image
+of the pattern is a permutation of it, so no other window can match.
 """
-from itertools import chain
-from typing import Iterable
+from itertools import accumulate, chain, groupby, islice, repeat
+from operator import indexOf, itemgetter, sub
+from typing import Iterable, Iterator
 
 from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, ScanConfig, build_dawg
@@ -67,24 +71,100 @@ def match_ends(
     """Match end positions for a plain string, or for an iterable of string
     chunks searched as their concatenation; the one engine dispatch.
 
-    Chunks are encoded one at a time and streamed into the engine, so
-    memory grows with the largest chunk, not with the text.  The naive
-    engine refuses patterns longer than ``naive_limit``: its image set
-    grows exponentially with the pattern length.
+    Chunks are read one at a time, so memory grows with the largest chunk,
+    not with the text.  ``dp`` and ``dawg`` run only on the runs of text
+    that :func:`_pieces` passes, each run from a fresh start, with the
+    DAWG built when the first run starts; ``naive`` sees the whole text,
+    so it checks the filter too.  The naive engine refuses patterns longer
+    than ``naive_limit``: its image set grows exponentially with the
+    pattern length.
     """
     alphabet = infer_alphabet(pattern)
     pat = encode(pattern, alphabet)
     chunks = (text,) if isinstance(text, str) else text
-    txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
     if algo == "naive":
         if pat.length > naive_limit:
             raise ValueError(
                 f"naive engine refuses patterns longer than {naive_limit}"
             )
+        txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
         return list(naive_search(pat, txt).end_positions)
-    if algo == "dp":
-        return list(dp_search(pat, txt).end_positions)
-    if algo == "dawg":
-        report, _ = automaton_search(pat, txt, count=False)
-        return list(report.end_positions)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    if algo not in ("dp", "dawg"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    hits = []
+    d = None
+    for start, pieces in groupby(_pieces(pat, alphabet, chunks), itemgetter(0)):
+        run = chain.from_iterable(map(itemgetter(1), pieces))
+        if algo == "dp":
+            report = dp_search(pat, run)
+        else:
+            if d is None:
+                d = build_dawg(pat)
+            report, _ = automaton_search(pat, run, d, count=False)
+        hits.extend(start + j for j in report.end_positions)
+    return hits
+
+
+def _pieces(
+    pat: Sequence, alphabet: Alphabet, chunks: Iterable[str]
+) -> Iterator[tuple[int, Iterator[int]]]:
+    """The runs of text an engine must see, as (run offset, codes) pieces.
+
+    A run is a maximal union of windows of m symbols whose symbol counts
+    equal the pattern's; windows that overlap or touch share a run.  The
+    run's hits are its offset plus the hits of an engine started fresh on
+    it: a hit at position j depends only on the window ending at j, and
+    every window that can match lies inside one run.  A run may continue
+    across chunks, one piece per chunk; each piece is encoded only when it
+    is reached, and the last m-1 symbols of the text are kept to scan the
+    windows that end in the next chunk.
+    """
+    m = pat.length
+    radix = m + 1
+    weights = {s: radix**c for c, s in enumerate(alphabet.symbols)}
+    other = radix**alphabet.size  # the sentinel's weight
+    target = sum(radix**c for c in pat.codes)
+    tail = ""  # the last m-1 symbols before the chunk
+    seen = 0  # symbols before the chunk
+    run = fed = -1  # the open run's offset, and the position of its last symbol
+    for chunk in chunks:
+        text = tail + chunk
+        offset = seen - len(tail)  # symbols before text[0]
+        spans = _windows(text, m, weights, other, target)
+        seen += len(chunk)
+        tail = text[max(0, len(text) - m + 1) :]
+        for a, b in spans:
+            if offset + a > fed:  # the span neither overlaps nor touches the open run
+                run = fed = offset + a
+            # an exhausted tuple iterator drops its tuple, so a finished
+            # piece is freed while the next chunk is read and scanned
+            yield run, iter(encode(text[fed - offset : b], alphabet).codes)
+            fed = offset + b
+
+
+def _windows(
+    text: str, m: int, weights: dict[str, int], other: int, target: int
+) -> list[list[int]]:
+    """The windows ``text[k:k+m]`` whose weight sum is ``target``, merged
+    into sorted [start, stop) index ranges; windows that overlap or touch
+    share a range.
+
+    With weight (m+1)^c for code c (``other`` for symbols outside
+    ``weights``), a window's sum is its symbol counts written in base m+1.
+    No count exceeds m, so no digit carries: the sum equals the pattern's
+    exactly when every count does.
+    """
+    lead = accumulate(map(weights.get, text, repeat(other)), initial=0)
+    lag = accumulate(map(weights.get, text, repeat(other)), initial=0)
+    sums = map(sub, islice(lead, m, None), lag)  # sums[k] = weight of text[k:k+m]
+    spans: list[list[int]] = []
+    k = -1
+    try:
+        while True:
+            k += indexOf(sums, target) + 1
+            if spans and k <= spans[-1][1]:
+                spans[-1][1] = k + m
+            else:
+                spans.append([k, k + m])
+    except ValueError:  # no window left
+        return spans

@@ -132,14 +132,15 @@ def _load_pattern(args: argparse.Namespace) -> str:
 
 @contextmanager
 def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
-    """The records of the text source, readable inside the ``with`` block."""
+    """The records of the text source, readable inside the ``with`` block,
+    uppercased like FASTA sequences."""
     if args.text is not None:
-        yield [FastaRecord("stdin", (args.text,))]
+        yield [FastaRecord("stdin", (args.text.upper(),))]
     elif args.text_file == "-":
-        yield [FastaRecord("stdin", read_chunks(sys.stdin))]
+        yield [FastaRecord("stdin", map(str.upper, read_chunks(sys.stdin)))]
     elif args.text_file is not None:
         with _open_text(args.text_file) as fh:
-            yield [FastaRecord(args.text_file, read_chunks(fh))]
+            yield [FastaRecord(args.text_file, map(str.upper, read_chunks(fh)))]
     else:
         with _open_text(args.fasta) as fh:
             yield parse_fasta(fh)
@@ -163,12 +164,10 @@ def _open_text(path: str) -> TextIO:
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     """TSV lines are written as each record finishes, so an error in a
     later record leaves them in place; JSON is written once, at the end."""
-    pattern_raw = _load_pattern(args)
+    # every text source is uppercased, so fold the pattern the same way
+    pattern_raw = _load_pattern(args).upper()
     if not pattern_raw:
         raise ValueError("empty pattern")
-    if args.fasta is not None:
-        # FASTA sequences are uppercased, so fold the pattern the same way
-        pattern_raw = pattern_raw.upper()
 
     matches = []
     with _open_records(args) as records:

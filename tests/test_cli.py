@@ -151,6 +151,18 @@ class TestSearchCommand:
         assert main(["search", "--pattern", "ABC", "--fasta", str(fasta)]) == 0
         assert capsys.readouterr().out == "r\t3\n"
 
+    def test_every_text_source_is_case_folded(self, tmp_path, monkeypatch, capsys):
+        outputs = set()
+        cases = (("cgt", "acgttgcaacgt"), ("cgt", "ACGTTGCAACGT"), ("CGT", "acgtTGCAacgt"))
+        for pattern, text in cases:
+            path = tmp_path / "t.txt"
+            path.write_text(text + "\n")
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            for source in (["--text", text], ["--text-file", str(path)], ["--text-file", "-"]):
+                assert main(["search", "--pattern", pattern, *source]) == 0
+                outputs.add(capsys.readouterr().out.replace(str(path), "stdin"))
+        assert outputs == {"stdin\t4\nstdin\t12\n"}
+
 
 class TestBenchCommand:
     def test_row_count_and_header(self, capsys):

@@ -1,6 +1,8 @@
 """Streamed input: chunked text gives the same matches as whole text, the
-CLI's output does not depend on how its input is split into lines or
-chunks, and its memory does not grow with the text."""
+symbol-count filter in front of `dp` and `dawg` changes no match and
+skips every window that cannot match, the CLI's output does not depend
+on how its input is split into lines or chunks, and its memory does not
+grow with the text."""
 import gc
 import gzip
 import io
@@ -9,6 +11,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,11 +21,12 @@ from hypothesis import strategies as st
 
 import translocsearch
 from translocsearch import cli, match_ends
-from translocsearch.automaton import automaton_search
-from translocsearch.dp import dp_search
-from translocsearch.oracle import enumerate_images
+from translocsearch.automaton import SearchState, automaton_search
+from translocsearch.cli import bench_rows
+from translocsearch.dp import DpColumns, dp_search
+from translocsearch.oracle import enumerate_images, naive_search
 
-from helpers import encode_pair, reference_counts
+from helpers import EX2_X, EX2_Y, LETTERS, encode_pair, reference_counts
 
 ENGINES = ("naive", "dp", "dawg")
 
@@ -107,6 +111,136 @@ def test_counted_search_matches_reference_counts(pattern, text):
     uncounted, none = automaton_search(pat, iter(txt), count=False)
     assert none is None
     assert report == uncounted == dp_search(pat, txt)
+
+
+@st.composite
+def swapped(draw, pattern: str) -> str:
+    """The pattern with one pair of adjacent factors swapped: an image."""
+    m = len(pattern)
+    if m < 2:
+        return pattern
+    i = draw(st.integers(0, m - 2))
+    h = draw(st.integers(1, m - i - 1))
+    k = draw(st.integers(1, m - i - h))
+    return pattern[:i] + pattern[i + h : i + h + k] + pattern[i : i + h] + pattern[i + h + k :]
+
+
+@st.composite
+def filter_cases(draw, symbols: str, max_m: int):
+    """(pattern, text, cuts): texts built from images of the pattern, other
+    permutations of it (windows the filter passes, most of them no match)
+    and noise, where N is never a pattern symbol."""
+    pattern = draw(st.text(symbols, min_size=1, max_size=max_m))
+    segment = st.one_of(
+        swapped(pattern),
+        st.permutations(pattern).map("".join),
+        st.text(symbols + "N", max_size=2 * len(pattern)),
+    )
+    text = "".join(draw(st.lists(segment, max_size=6)))
+    cuts = draw(st.lists(st.integers(0, len(text)), max_size=12))
+    return pattern, text, cuts
+
+
+def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: list[int]):
+    """Filtered `dp` and `dawg` on the chunked text, and the unfiltered
+    engines on the whole text, all give ``expected``."""
+    pat, txt = encode_pair(pattern, text)
+    assert list(dp_search(pat, txt)) == expected
+    assert list(automaton_search(pat, txt, count=False)[0]) == expected
+    for algo in ("dp", "dawg"):
+        assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_cases("abc", 7))
+@example(case=("abc", "NNcabNN", [3, 4]))  # a run straddling two chunk boundaries
+@example(case=("ab", "ab" * 10, list(range(21))))  # one run over 20 one-symbol chunks
+@example(case=("ab", "NbaNab", [0, 0, 2, 2, 6, 6]))  # empty chunks between runs
+@example(case=("a", "aNa", [1, 2]))  # m = 1
+@example(case=("abcabc", "cab", [1]))  # m > n
+@example(case=("ab", "NNNN", [2]))  # sentinel only
+@example(case=("aaaa", "a" * 9, [3, 5]))  # unary: a count reaches m, no digit carries
+def test_filtered_engines_match_naive_and_unfiltered(case):
+    pattern, text, cuts = case
+    expected = list(naive_search(*encode_pair(pattern, text)))
+    assert_filtered_ends(pattern, text, cuts, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=filter_cases(LETTERS, 24))
+@example(case=(LETTERS, "N" + LETTERS[::-1] + LETTERS[10:] + LETTERS[:10] + LETTERS, [7, 30]))
+def test_filter_with_multi_word_weights(case):
+    """20 pattern symbols: weights up to (m+1)^20, far beyond one machine
+    word; too many images for the naive engine, so `dp` is the reference."""
+    pattern, text, cuts = case
+    expected = list(dp_search(*encode_pair(pattern, text)))
+    assert_filtered_ends(pattern, text, cuts, expected)
+
+
+def candidate_symbols(pattern: str, text: str) -> int:
+    """Text positions covered by windows whose symbol counts equal the
+    pattern's, by brute force."""
+    m, counts = len(pattern), Counter(pattern)
+    covered = set()
+    for end in range(m, len(text) + 1):
+        if Counter(text[end - m : end]) == counts:
+            covered.update(range(end - m, end))
+    return len(covered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=filter_cases("abc", 7))
+@example(case=("ab", "ab" * 10, list(range(21))))  # overlapping windows share one run
+@example(case=("abc", "cabNNNNbca", [5]))  # two runs
+@example(case=("a", "aNba", [2]))  # m = 1: only the symbols equal to the pattern
+def test_engines_step_once_per_symbol_of_a_candidate_window(case):
+    """Each engine steps exactly over the union of the windows the filter
+    passes: no other symbol, and none twice.  The DAWG is built once, and
+    only when some window passes."""
+    pattern, text, cuts = case
+    union = candidate_symbols(pattern, text)
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DpColumns, "push", counted("dp", DpColumns.push))
+        mp.setattr(SearchState, "step", counted("dawg", SearchState.step))
+        mp.setattr(translocsearch, "build_dawg", counted("build", translocsearch.build_dawg))
+        for algo in ("dp", "dawg"):
+            match_ends(pattern, iter(split(text, cuts)), algo)
+    assert calls["dp"] == calls["dawg"] == union
+    assert calls["build"] == (union > 0)
+
+
+def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an engine ran where no window can match")
+
+    monkeypatch.setattr(SearchState, "step", refuse)
+    monkeypatch.setattr(DpColumns, "push", refuse)
+    monkeypatch.setattr(translocsearch, "build_dawg", refuse)
+    text = "GATTAGA" * 1000  # every window lacks the pattern's C
+    for algo in ("dp", "dawg"):
+        assert match_ends("GATTACA", text, algo) == []
+        assert match_ends("GATTACA", split(text, list(range(0, len(text), 60))), algo) == []
+
+
+def test_naive_and_bench_bypass_the_filter(monkeypatch):
+    """With a filter that passes nothing, `dp` and `dawg` find nothing,
+    while the naive engine (the filter's independent check) and `bench`
+    (criterion 8's unfiltered automaton) are unchanged."""
+    text = EX2_Y * 3 + EX2_X[::-1]
+    naive = match_ends(EX2_X, text, "naive")
+    rows = bench_rows([16, 64], 3_000, 4, 2, 42)
+    monkeypatch.setattr(translocsearch, "_windows", lambda *args: [])
+    assert naive and match_ends(EX2_X, text, "dp") == match_ends(EX2_X, text, "dawg") == []
+    assert match_ends(EX2_X, text, "naive") == naive
+    assert bench_rows([16, 64], 3_000, 4, 2, 42) == rows
 
 
 # Output of the search below at the commit before streaming input (one
