@@ -15,9 +15,10 @@ Each takes the text as a coded Sequence or as a stream of symbol codes.
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
+Most such windows are checked one by one instead, without an engine.
 """
-from itertools import accumulate, chain, groupby, islice, repeat
-from operator import indexOf, itemgetter, sub
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .automaton import OpCounter, SearchState, automaton_search
@@ -74,10 +75,11 @@ def match_ends(
     Chunks are read one at a time, so memory grows with the largest chunk,
     not with the text.  ``dp`` and ``dawg`` run only on the runs of text
     that :func:`_pieces` passes, each run from a fresh start, with the
-    DAWG built when the first run starts; ``naive`` sees the whole text,
-    so it checks the filter too.  The naive engine refuses patterns longer
-    than ``naive_limit``: its image set grows exponentially with the
-    pattern length.
+    DAWG built when the first run starts; the windows it checked on their
+    own are hits without an engine.  ``naive`` sees the whole text, so it
+    checks the filter and the window check too.  The naive engine refuses
+    patterns longer than ``naive_limit``: its image set grows
+    exponentially with the pattern length.
     """
     alphabet = infer_alphabet(pattern)
     pat = encode(pattern, alphabet)
@@ -93,8 +95,12 @@ def match_ends(
         raise ValueError(f"unknown algorithm {algo!r}")
     hits = []
     d = None
-    for start, pieces in groupby(_pieces(pat, alphabet, chunks), itemgetter(0)):
-        run = chain.from_iterable(map(itemgetter(1), pieces))
+    for start, pieces in groupby(_pieces(pattern, alphabet, chunks), itemgetter(0)):
+        codes = next(pieces)[1]
+        if codes is None:  # a window checked on its own: an image
+            hits.append(start + pat.length)
+            continue
+        run = chain(codes, chain.from_iterable(map(itemgetter(1), pieces)))
         if algo == "dp":
             report = dp_search(pat, run)
         else:
@@ -105,36 +111,73 @@ def match_ends(
     return hits
 
 
-def _pieces(
-    pat: Sequence, alphabet: Alphabet, chunks: Iterable[str]
-) -> Iterator[tuple[int, Iterator[int]]]:
-    """The runs of text an engine must see, as (run offset, codes) pieces.
+# A cluster of overlapping candidate windows is checked window by window up
+# to this many; an engine runs over the rest, where it shares the work of
+# overlapping windows and its cost per symbol is bounded.
+CHECKED_PER_CLUSTER = 8
 
-    A run is a maximal union of windows of m symbols whose symbol counts
-    equal the pattern's; windows that overlap or touch share a run.  The
-    run's hits are its offset plus the hits of an engine started fresh on
-    it: a hit at position j depends only on the window ending at j, and
-    every window that can match lies inside one run.  A run may continue
-    across chunks, one piece per chunk; each piece is encoded only when it
-    is reached, and the last m-1 symbols of the text are kept to scan the
+
+def _pieces(
+    pattern: str, alphabet: Alphabet, chunks: Iterable[str]
+) -> Iterator[tuple[int, Iterator[int] | None]]:
+    """What is left of the text once windows that cannot match are
+    skipped, in text order: (k, None) for a window of m symbols at text
+    position k that :func:`_is_image` found to be an image, and (run
+    offset, codes) pieces of the runs an engine must step over.
+
+    Only windows whose symbol counts equal the pattern's can match.
+    Pattern symbol c weighs (m+1)^c and any other symbol 0, so a window's
+    weight sum is its counts of pattern symbols written in base m+1.  No
+    count exceeds m, so no digit carries: the sum equals the pattern's
+    exactly when every count does, and then the window holds m pattern
+    symbols and no other.  The sum is kept over a sliding window, one
+    symbol in and one out per position.
+
+    Candidate windows that overlap form a cluster.  The first
+    CHECKED_PER_CLUSTER windows of a cluster are checked one by one, and
+    the rest of it, if any, is one run.  The run's hits are its offset
+    plus the hits of an engine started fresh on it: a hit at position j
+    depends only on the window ending at j.  A run may continue across
+    chunks, one piece per chunk; each piece is encoded only when it is
+    reached, and the last m-1 symbols of the text are kept for the
     windows that end in the next chunk.
     """
-    m = pat.length
-    radix = m + 1
-    weights = {s: radix**c for c, s in enumerate(alphabet.symbols)}
-    other = radix**alphabet.size  # the sentinel's weight
-    target = sum(radix**c for c in pat.codes)
+    m = len(pattern)
+    limit = CHECKED_PER_CLUSTER
+    # keyed by code point: int hashes, unlike str hashes, are the same in
+    # every process, and so is the cost of a lookup
+    weight = {ord(s): (m + 1) ** c for c, s in enumerate(alphabet.symbols)}.get
+    target = sum(map(weight, map(ord, pattern)))
     tail = ""  # the last m-1 symbols before the chunk
+    total = 0  # their weight
     seen = 0  # symbols before the chunk
-    run = fed = -1  # the open run's offset, and the position of its last symbol
+    run = fed = -1  # the open run's offset, and the position after its last symbol
+    last, rank = -m, 0  # the last candidate window's position, and its rank in its cluster
     for chunk in chunks:
         text = tail + chunk
         offset = seen - len(tail)  # symbols before text[0]
-        spans = _windows(text, m, weights, other, target)
+        found: list[list] = []  # [k, None] for an image, [a, b] for a run's span
+        total += sum(map(weight, map(ord, text[len(tail) : m - 1]), repeat(0)))
+        for k, (out, new) in enumerate(zip(map(ord, text), map(ord, text[m - 1 :]))):
+            total += weight(new, 0)
+            if total == target:
+                rank = rank + 1 if offset + k < last + m else 1
+                last = offset + k
+                if rank <= limit:
+                    if _is_image(pattern, text[k : k + m]):
+                        found.append([k, None])
+                elif rank > limit + 1 and found:  # the previous window is the span's
+                    found[-1][1] = k + m
+                else:
+                    found.append([k, k + m])
+            total -= weight(out, 0)
         seen += len(chunk)
         tail = text[max(0, len(text) - m + 1) :]
-        for a, b in spans:
-            if offset + a > fed:  # the span neither overlaps nor touches the open run
+        for a, b in found:
+            if b is None:
+                yield offset + a, None
+                continue
+            if offset + a > fed:  # the span does not continue the open run
                 run = fed = offset + a
             # an exhausted tuple iterator drops its tuple, so a finished
             # piece is freed while the next chunk is read and scanned
@@ -142,29 +185,51 @@ def _pieces(
             fed = offset + b
 
 
-def _windows(
-    text: str, m: int, weights: dict[str, int], other: int, target: int
-) -> list[list[int]]:
-    """The windows ``text[k:k+m]`` whose weight sum is ``target``, merged
-    into sorted [start, stop) index ranges; windows that overlap or touch
-    share a range.
+def _is_image(pattern: str, window: str) -> bool:
+    """Whether ``window`` is an image of ``pattern``, of the same length.
 
-    With weight (m+1)^c for code c (``other`` for symbols outside
-    ``weights``), a window's sum is its symbol counts written in base m+1.
-    No count exceeds m, so no digit carries: the sum equals the pattern's
-    exactly when every count does.
+    An image reads left to right as units: a pattern symbol copied, or a
+    factor pair zw of the pattern written as wz.  The search keeps the
+    prefix lengths s with ``window[:s]`` an image of ``pattern[:s]`` as
+    bits, and extends the longest one not yet extended first, so an image
+    is found in few steps.  From s, copies reach up to the end of the
+    common prefix of ``window[s:]`` and ``pattern[s:]``; a unit wz with
+    w = ``window[s:p]`` = ``pattern[q:q+p-s]`` and z = ``window[p:p+q-s]``
+    = ``pattern[s:q]`` reaches p+q-s.  z starts with ``pattern[s]``,
+    which gives the candidates for p; w must occur in the pattern after
+    s, and once it does not, no longer w does; z is at most the common
+    prefix of ``window[p:]`` and ``pattern[s:]`` long.  A window of
+    random text is rejected after a handful of ``str.find`` calls.
     """
-    lead = accumulate(map(weights.get, text, repeat(other)), initial=0)
-    lag = accumulate(map(weights.get, text, repeat(other)), initial=0)
-    sums = map(sub, islice(lead, m, None), lag)  # sums[k] = weight of text[k:k+m]
-    spans: list[list[int]] = []
-    k = -1
-    try:
-        while True:
-            k += indexOf(sums, target) + 1
-            if spans and k <= spans[-1][1]:
-                spans[-1][1] = k + m
-            else:
-                spans.append([k, k + m])
-    except ValueError:  # no window left
-        return spans
+    m = len(pattern)
+    todo = 1  # prefix lengths reached and not yet extended
+    done = 0
+    while todo:
+        s = todo.bit_length() - 1
+        todo ^= 1 << s
+        done |= 1 << s
+        e = 0
+        while s + e < m and window[s + e] == pattern[s + e]:
+            e += 1
+        if s + e == m:
+            return True
+        reach = ((2 << e) - 2) << s  # s+1 .. s+e by copies
+        first = pattern[s]
+        p = window.find(first, s + 1)
+        while p != -1:
+            w = window[s:p]
+            q = pattern.find(w, s + 1)
+            if q == -1:
+                break
+            e = 1  # common prefix of window[p:] and pattern[s:]
+            while p + e < m and window[p + e] == pattern[s + e]:
+                e += 1
+            while s < q <= s + e:
+                if window[p : p + q - s] == pattern[s:q]:
+                    if p + q - s == m:
+                        return True
+                    reach |= 1 << (p + q - s)
+                q = pattern.find(w, q + 1)
+            p = window.find(first, p + 1)
+        todo |= reach & ~done
+    return False

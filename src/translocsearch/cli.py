@@ -18,6 +18,7 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterable, Iterator, TextIO
 
@@ -284,9 +285,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building one formats and
+    translates every help string, which makes system calls and costs more
+    than a short search."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "search":
             return cmd_search(args, sys.stdout)

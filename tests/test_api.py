@@ -60,7 +60,9 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     engine may run through the other's layer (`SearchState` inherits
     `DpColumns.push`)."""
     fasta = tmp_path / "t.fa"
-    fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n")
+    # r3's windows are rotations of the pattern: one cluster of 25, more
+    # than are checked one by one, so the engines run
+    fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n>r3\n{EX2_X * 3}\n")
     other_layer = {"dp": "automaton.SearchState.step", "dawg": "dp.DpColumns.push"}
     per_pass = {}
     tracer = Tracer()

@@ -230,3 +230,24 @@ def test_importing_cli_leaves_numpy_unloaded():
 
 def test_importing_cli_leaves_gzip_unloaded():
     assert not cold_import_loads("gzip")
+
+
+def test_repeated_searches_build_the_parser_once(monkeypatch, capsys):
+    """`main` reuses one parser; each call still parses its own arguments."""
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    try:
+        for algo in ("dp", "dawg", "dp"):
+            assert main(["search", "--pattern", EX2_X, "--text", EX2_Y, "--algo", algo]) == 0
+        assert main(["search", "--pattern", EX2_X, "--text", EX2_Y, "--format", "json"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    out = capsys.readouterr().out
+    assert out == "stdin\t12\n" * 3 + '[{"record": "stdin", "end": 12}]\n'

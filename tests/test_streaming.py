@@ -142,13 +142,18 @@ def filter_cases(draw, symbols: str, max_m: int):
 
 
 def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: list[int]):
-    """Filtered `dp` and `dawg` on the chunked text, and the unfiltered
-    engines on the whole text, all give ``expected``."""
+    """Filtered `dp` and `dawg` on the chunked text, with every window
+    left to an engine, with few checked on their own and with the default,
+    and the unfiltered engines on the whole text, all give ``expected``."""
     pat, txt = encode_pair(pattern, text)
     assert list(dp_search(pat, txt)) == expected
     assert list(automaton_search(pat, txt, count=False)[0]) == expected
-    for algo in ("dp", "dawg"):
-        assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
+    for limit in (0, 2, translocsearch.CHECKED_PER_CLUSTER):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(translocsearch, "CHECKED_PER_CLUSTER", limit)
+            for algo in ("dp", "dawg"):
+                got = match_ends(pattern, iter(split(text, cuts)), algo)
+                assert got == expected, (algo, limit)
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,35 +175,43 @@ def test_filtered_engines_match_naive_and_unfiltered(case):
 @given(case=filter_cases(LETTERS, 24))
 @example(case=(LETTERS, "N" + LETTERS[::-1] + LETTERS[10:] + LETTERS[:10] + LETTERS, [7, 30]))
 def test_filter_with_multi_word_weights(case):
-    """20 pattern symbols: weights up to (m+1)^20, far beyond one machine
+    """20 pattern symbols: weights up to (m+1)^19, far beyond one machine
     word; too many images for the naive engine, so `dp` is the reference."""
     pattern, text, cuts = case
     expected = list(dp_search(*encode_pair(pattern, text)))
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
-def candidate_symbols(pattern: str, text: str) -> int:
-    """Text positions covered by windows whose symbol counts equal the
-    pattern's, by brute force."""
+def candidate_symbols(pattern: str, text: str, limit: int) -> int:
+    """Text positions the engines must step over, by brute force: windows
+    whose symbol counts equal the pattern's, taken in order, where each
+    window past the ``limit``-th of a cluster of overlapping ones covers
+    its symbols."""
     m, counts = len(pattern), Counter(pattern)
-    covered = set()
-    for end in range(m, len(text) + 1):
-        if Counter(text[end - m : end]) == counts:
-            covered.update(range(end - m, end))
+    covered, last, rank = set(), -m, 0
+    for k in range(len(text) - m + 1):
+        if Counter(text[k : k + m]) != counts:
+            continue
+        rank = rank + 1 if k < last + m else 1
+        last = k
+        if rank > limit:
+            covered.update(range(k, k + m))
     return len(covered)
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=filter_cases("abc", 7))
-@example(case=("ab", "ab" * 10, list(range(21))))  # overlapping windows share one run
-@example(case=("abc", "cabNNNNbca", [5]))  # two runs
-@example(case=("a", "aNba", [2]))  # m = 1: only the symbols equal to the pattern
-def test_engines_step_once_per_symbol_of_a_candidate_window(case):
-    """Each engine steps exactly over the union of the windows the filter
-    passes: no other symbol, and none twice.  The DAWG is built once, and
-    only when some window passes."""
+@given(case=filter_cases("abc", 7), limit=st.sampled_from((0, 1, 2, 8)))
+@example(case=("ab", "ab" * 10, list(range(21))), limit=0)  # one run of overlapping windows
+@example(case=("ab", "ab" * 10, list(range(21))), limit=8)  # 8 checked, the other 11 one run
+@example(case=("abc", "cabNNNNbca", [5]), limit=0)  # two runs
+@example(case=("abc", "cabbca", [4]), limit=1)  # touching windows: two clusters
+@example(case=("a", "aNba", [2]), limit=0)  # m = 1: only the symbols equal to the pattern
+def test_engines_step_once_per_symbol_of_a_candidate_window(case, limit):
+    """Each engine steps exactly over the windows the filter leaves to it:
+    no other symbol, and none twice.  The DAWG is built once, and only
+    when some window is left to an engine."""
     pattern, text, cuts = case
-    union = candidate_symbols(pattern, text)
+    union = candidate_symbols(pattern, text, limit)
     calls = Counter()
 
     def counted(name, original):
@@ -208,6 +221,7 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translocsearch, "CHECKED_PER_CLUSTER", limit)
         mp.setattr(DpColumns, "push", counted("dp", DpColumns.push))
         mp.setattr(SearchState, "step", counted("dawg", SearchState.step))
         mp.setattr(translocsearch, "build_dawg", counted("build", translocsearch.build_dawg))
@@ -215,6 +229,33 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
             match_ends(pattern, iter(split(text, cuts)), algo)
     assert calls["dp"] == calls["dawg"] == union
     assert calls["build"] == (union > 0)
+
+
+@st.composite
+def image_cases(draw):
+    """(pattern, window): an image or another permutation of the pattern,
+    over random, unary-heavy or 20-symbol alphabets."""
+    symbols = draw(st.sampled_from(("ab", "abc", "aab", LETTERS)))
+    pattern = draw(st.text(symbols, min_size=1, max_size=9))
+    window = draw(st.one_of(
+        swapped(pattern),
+        swapped(pattern).flatmap(swapped),  # two swaps, which may overlap
+        st.permutations(pattern).map("".join),
+    ))
+    return pattern, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=image_cases())
+@example(case=("abc", "cba"))  # a permutation that is no image
+@example(case=("a", "a"))  # m = 1
+@example(case=("aaaaaaaa", "aaaaaaaa"))  # unary: every unit of every length fits
+@example(case=("abababab", "babababa"))  # period 2
+@example(case=("abcdef", "efcdab"))  # no image: ab and ef cannot cross cd
+def test_image_check_agrees_with_enumeration(case):
+    pattern, window = case
+    pat, txt = encode_pair(pattern, window)
+    assert translocsearch._is_image(pattern, window) == (txt.codes in enumerate_images(pat))
 
 
 def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):
@@ -237,7 +278,7 @@ def test_naive_and_bench_bypass_the_filter(monkeypatch):
     text = EX2_Y * 3 + EX2_X[::-1]
     naive = match_ends(EX2_X, text, "naive")
     rows = bench_rows([16, 64], 3_000, 4, 2, 42)
-    monkeypatch.setattr(translocsearch, "_windows", lambda *args: [])
+    monkeypatch.setattr(translocsearch, "_pieces", lambda *args: iter(()))
     assert naive and match_ends(EX2_X, text, "dp") == match_ends(EX2_X, text, "dawg") == []
     assert match_ends(EX2_X, text, "naive") == naive
     assert bench_rows([16, 64], 3_000, 4, 2, 42) == rows
