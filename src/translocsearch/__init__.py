@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .automaton import OpCounter, SearchState, automaton_search
-from .dawg import Dawg, ScanConfig, build_dawg
+from .dawg import Dawg, build_dawg
 from .dp import DpColumns, dp_search
 from .oracle import (
     DEFAULT_NAIVE_LIMIT,
@@ -34,7 +34,6 @@ from .seqcore import (
     Alphabet,
     MatchReport,
     Sequence,
-    decode,
     encode,
     infer_alphabet,
 )
@@ -48,12 +47,10 @@ __all__ = [
     "ImageExplosionError",
     "MatchReport",
     "OpCounter",
-    "ScanConfig",
     "SearchState",
     "Sequence",
     "automaton_search",
     "build_dawg",
-    "decode",
     "dp_search",
     "encode",
     "enumerate_images",
@@ -81,6 +78,8 @@ def match_ends(
     patterns longer than ``naive_limit``: its image set grows
     exponentially with the pattern length.
     """
+    if not pattern:
+        raise ValueError("empty pattern")
     alphabet = infer_alphabet(pattern)
     pat = encode(pattern, alphabet)
     chunks = (text,) if isinstance(text, str) else text

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .dawg import START_CONFIG, Dawg, advance_with_hops, build_dawg
+from .dawg import ROOT, Dawg, advance_with_hops, build_dawg
 from .dp import DpColumns
 from .seqcore import MatchReport, Sequence
 
@@ -57,13 +57,15 @@ class OpCounter:
 
 class SearchState(DpColumns):
     """One search stream: the DP's ring of F-chains and P columns, filled
-    from the factor automaton, plus the scan configuration."""
+    from the factor automaton, plus the scan configuration: the state and
+    length of the longest pattern factor ending at the last symbol."""
 
     def __init__(self, pattern: Sequence, dawg: Dawg | None = None):
         super().__init__(pattern.length)
         self.dawg = dawg if dawg is not None else build_dawg(pattern)
         self.ext_masks = pattern.symbol_masks()
-        self.scan = START_CONFIG
+        self.scan_state = ROOT
+        self.scan_length = 0
         self.hops = 0  # improved-link hops of the last advance
         self._sums: list[int] | None = None  # tally's ring, made on first use
 
@@ -87,14 +89,15 @@ class SearchState(DpColumns):
         suf = d.suf
 
         j = self.pos + 1
-        prev = self.scan
-        config, self.hops = advance_with_hops(d, prev.state, prev.length, code)
+        (u, lj), self.hops = advance_with_hops(
+            d, self.scan_state, self.scan_length, code
+        )
+        self.scan_state, self.scan_length = u, lj
 
         pj = 1 | ((psets[(j - 1) % cap] << 1) & self.ext_masks.get(code, 0))
 
-        chain = [self.full] * (config.length + 1)
-        u = config.state
-        for h in range(config.length, 0, -1):
+        chain = [self.full] * (lj + 1)
+        for h in range(lj, 0, -1):
             if link_len[u] == h:
                 u = suf[u]
             ep_u = chain[h] = endpos[u]
@@ -108,7 +111,6 @@ class SearchState(DpColumns):
                 if add:
                     pj |= add
 
-        self.scan = config
         fcols[j % cap] = chain
         psets[j % cap] = pj
         self.pos = j
@@ -137,7 +139,7 @@ class SearchState(DpColumns):
         d = self.dawg
         link_len = d.link_len
         suf = d.suf
-        u = self.scan.state
+        u = self.scan_state
         walk = 0
         while link_len[u] > 0:  # the hops the step's countdown walk took
             u = suf[u]

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
-from .oracle import DEFAULT_NAIVE_LIMIT, ImageExplosionError
+from .oracle import DEFAULT_NAIVE_LIMIT
 from .seqcore import Sequence
 
 CSV_HEADER = (
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_search(args, sys.stdout)
         return cmd_bench(args, sys.stdout)
     # a truncated .gz file raises EOFError, a corrupt one zlib.error
-    except (OSError, ValueError, EOFError, zlib.error, ImageExplosionError) as exc:
+    except (OSError, ValueError, EOFError, zlib.error) as exc:
         print(f"utd: error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,43 +18,24 @@ A pattern of length m produces at most 2m+1 states.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .seqcore import Sequence
 
 ROOT = 0
 
 
-class ScanConfig(NamedTuple):
-    """State and length of the longest pattern factor that is a suffix of
-    the text scanned so far.
-
-    The length may be smaller than ``lens[state]``: the class may contain
-    several factors and only the shorter ones end here.
-    """
-
-    state: int
-    length: int
-
-
-START_CONFIG = ScanConfig(ROOT, 0)
-
-
 class Dawg:
     """Factor automaton built by :func:`build_dawg`; immutable afterwards."""
 
-    __slots__ = ("m", "lens", "suf", "isuf", "link_len", "trans", "endpos")
+    __slots__ = ("lens", "suf", "isuf", "link_len", "trans", "endpos")
 
     def __init__(
         self,
-        m: int,
         lens: list[int],
         suf: list[int],
         isuf: list[int],
         trans: list[dict[int, int]],
         endpos: list[int],
     ):
-        self.m = m
         self.lens = lens
         self.suf = suf
         self.isuf = isuf
@@ -76,8 +57,7 @@ def build_dawg(pattern: Sequence) -> Dawg:
     by seeding each step's new state with its position and uniting the
     masks bottom-up over the suffix-link tree.
     """
-    m = pattern.length
-    if m == 0:
+    if pattern.length == 0:
         raise ValueError("empty pattern")
 
     lens = [0]
@@ -132,14 +112,19 @@ def build_dawg(pattern: Sequence) -> Dawg:
         s = suf[q]
         isuf[q] = s if len(trans[s]) > len(trans[q]) else isuf[s]
 
-    return Dawg(m, lens, suf, isuf, trans, endpos)
+    return Dawg(lens, suf, isuf, trans, endpos)
 
 
 def advance_with_hops(
     dawg: Dawg, state: int, length: int, code: int
-) -> tuple[ScanConfig, int]:
-    """Configuration after appending one text symbol, and the number of
-    improved-link hops taken, for the engine's work counters.
+) -> tuple[tuple[int, int], int]:
+    """Scan configuration after appending one text symbol, and the number
+    of improved-link hops taken, for the engine's work counters.
+
+    A scan configuration is the state and length of the longest pattern
+    factor that is a suffix of the text scanned so far; it starts at
+    (ROOT, 0).  The length may be smaller than ``lens[state]``: the class
+    may contain several factors and only the shorter ones end here.
 
     If ``state`` has a transition on ``code`` the tracked factor simply
     grows by one.  Otherwise walk improved suffix links until a state with
@@ -151,7 +136,7 @@ def advance_with_hops(
     trans = dawg.trans
     target = trans[state].get(code)
     if target is not None:
-        return ScanConfig(target, length + 1), 0
+        return (target, length + 1), 0
     isuf = dawg.isuf
     hops = 1
     p = isuf[state]
@@ -159,5 +144,5 @@ def advance_with_hops(
         p = isuf[p]
         hops += 1
     if p == -1:
-        return START_CONFIG, hops
-    return ScanConfig(trans[p][code], dawg.lens[p] + 1), hops
+        return (ROOT, 0), hops
+    return (trans[p][code], dawg.lens[p] + 1), hops

@@ -48,11 +48,6 @@ class DpColumns:
         self._f: list[list[int]] = [[self.full]] + [[] for _ in range(m)]
         self._p: list[int] = [1] + [0] * m
 
-    def _slot(self, j: int) -> int:
-        if not self.pos - self.m <= j <= self.pos:
-            raise IndexError(f"column {j} is outside the live window")
-        return j % self.cap
-
     def push(self, eq_mask: int) -> bool:
         """Fill column pos+1 given the mask {i : x[i] = y[pos+1]}.
 
@@ -102,44 +97,14 @@ class DpColumns:
         self.pos = j
         return (p >> m) & 1 == 1
 
-    # -- inspection (tests, golden checks); j is an absolute column index --
-
-    def p_value(self, i: int, j: int) -> bool:
-        """P[i,j]; columns before the text start read as all-false."""
-        if j < 0:
-            return False
-        return (self._p[self._slot(j)] >> i) & 1 == 1
-
-    def f_value(self, i: int, j: int) -> int:
-        """F[i,j] recovered as the deepest threshold level containing i."""
-        if j < 0:
-            return 0
-        levels = self._f[self._slot(j)]
-        k = 0
-        while k + 1 < len(levels) and (levels[k + 1] >> i) & 1:
-            k += 1
-        return k
-
-    def f_set(self, j: int, k: int) -> int:
-        """Bitmask {i : F[i,j] >= k}; empty when k exceeds every F[i,j]."""
-        if k < 1:
-            raise ValueError("threshold must be at least 1")
-        if j < 0:
-            return 0
-        levels = self._f[self._slot(j)]
-        return levels[k] if k < len(levels) else 0
-
 
 def dp_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
     """All 1-based end positions where the pattern matches a text window
     after non-overlapping swaps of adjacent factor pairs.  ``text`` may be
     a coded Sequence or any iterable of symbol codes (streams are consumed
     incrementally)."""
-    m = pattern.length
-    if m == 0:
-        raise ValueError("empty pattern")
     masks = pattern.symbol_masks()
-    cols = DpColumns(m)
+    cols = DpColumns(pattern.length)
     hits = []
     for j, code in enumerate(text, start=1):
         if cols.push(masks.get(code, 0)):

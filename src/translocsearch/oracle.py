@@ -51,11 +51,7 @@ def enumerate_images(
     return images[0]
 
 
-def naive_search(
-    pattern: Sequence,
-    text: Sequence | Iterable[int],
-    cap: int = DEFAULT_IMAGE_CAP,
-) -> MatchReport:
+def naive_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
     """Report j iff the window y[j-m+1..j] is an image of the pattern.
 
     ``text`` may be a coded Sequence or any iterable of symbol codes; only
@@ -69,7 +65,7 @@ def naive_search(
     for j, code in enumerate(text, start=1):
         window.append(code)
         if j == m:  # first full window: a text shorter than m never pays for images
-            images = enumerate_images(pattern, cap)
+            images = enumerate_images(pattern)
         if j >= m and tuple(window) in images:
             hits.append(j)
     return MatchReport(tuple(hits))

@@ -86,12 +86,3 @@ def encode(raw: str, alphabet: Alphabet) -> Sequence:
     sentinel = alphabet.sentinel
     return Sequence(tuple(lookup.get(ch, sentinel) for ch in raw))
 
-
-def decode(seq: Sequence, alphabet: Alphabet) -> str:
-    """Inverse of :func:`encode` for in-alphabet codes."""
-    out = []
-    for code in seq.codes:
-        if not 0 <= code < alphabet.size:
-            raise ValueError(f"code {code} is not decodable in this alphabet")
-        out.append(alphabet.symbols[code])
-    return "".join(out)

@@ -10,7 +10,7 @@ import random
 from typing import Iterable
 
 from translocsearch.automaton import OpCounter
-from translocsearch.dawg import ROOT, START_CONFIG, Dawg, advance_with_hops, build_dawg
+from translocsearch.dawg import ROOT, Dawg, advance_with_hops, build_dawg
 from translocsearch.dp import DpColumns
 from translocsearch.seqcore import Alphabet, Sequence, encode, infer_alphabet
 
@@ -80,7 +80,7 @@ def bits(mask: int) -> set[int]:
 def endpos_positions(dawg: Dawg, state: int) -> frozenset[int]:
     """End-position bitmask of a DAWG state expanded to a set."""
     mask = dawg.endpos[state]
-    return frozenset(i for i in range(dawg.m + 1) if (mask >> i) & 1)
+    return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def walk(dawg: Dawg, codes: tuple[int, ...] | list[int]) -> int | None:
@@ -115,9 +115,44 @@ def dump(dawg: Dawg, alphabet: Alphabet | None = None) -> str:
     return "\n".join(lines)
 
 
+def _slot(cols: DpColumns, j: int) -> int:
+    """Ring index of absolute column j, which must still be live."""
+    if not cols.pos - cols.m <= j <= cols.pos:
+        raise IndexError(f"column {j} is outside the live window")
+    return j % cols.cap
+
+
+def p_value(cols: DpColumns, i: int, j: int) -> bool:
+    """P[i,j]; columns before the text start read as all-false."""
+    if j < 0:
+        return False
+    return (cols._p[_slot(cols, j)] >> i) & 1 == 1
+
+
+def f_value(cols: DpColumns, i: int, j: int) -> int:
+    """F[i,j] recovered as the deepest threshold level containing i."""
+    if j < 0:
+        return 0
+    levels = cols._f[_slot(cols, j)]
+    k = 0
+    while k + 1 < len(levels) and (levels[k + 1] >> i) & 1:
+        k += 1
+    return k
+
+
+def f_set(cols: DpColumns, j: int, k: int) -> int:
+    """Bitmask {i : F[i,j] >= k}; empty when k exceeds every F[i,j]."""
+    if k < 1:
+        raise ValueError("threshold must be at least 1")
+    if j < 0:
+        return 0
+    levels = cols._f[_slot(cols, j)]
+    return levels[k] if k < len(levels) else 0
+
+
 def p_column(cols: DpColumns, j: int) -> set[int]:
     """Members of P column j: lengths of the pattern prefixes matched at j."""
-    return {i for i in range(cols.m + 1) if cols.p_value(i, j)}
+    return {i for i in range(cols.m + 1) if p_value(cols, i, j)}
 
 
 def suffix_state(dawg: Dawg, state: int, k: int) -> int:
@@ -152,18 +187,18 @@ def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
     masks = pattern.symbol_masks()
     cols = DpColumns(m)
     counter = OpCounter()
-    config = START_CONFIG
+    state, length = ROOT, 0
     lengths = [0]  # l_j, the deepest F level of column j
     sizes = [1]  # |P_j|; P_0 holds only the empty prefix
     for code in text:
-        config, hops = advance_with_hops(dawg, config.state, config.length, code)
+        (state, length), hops = advance_with_hops(dawg, state, length, code)
         cols.push(masks.get(code, 0))
         j = cols.pos
-        lengths.append(max(cols.f_value(i, j) for i in range(m + 1)))
+        lengths.append(max(f_value(cols, i, j) for i in range(m + 1)))
         sizes.append(len(p_column(cols, j)))
-        assert lengths[j] == config.length
+        assert lengths[j] == length
         counter.delta_steps += hops
-        states = {suffix_state(dawg, config.state, k) for k in range(1, lengths[j] + 1)}
+        states = {suffix_state(dawg, state, k) for k in range(1, lengths[j] + 1)}
         counter.suffix_hops += max(len(states) - 1, 0)
         for h in range(1, lengths[j] + 1):
             for k in range(1, min(lengths[j - h], m - h) + 1):
@@ -198,13 +233,13 @@ def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: int, yj: int) -> bool
     """
     if i == 0:
         return True
-    if xi == yj and (i == 1 or cols.p_value(i - 1, j - 1)):
+    if xi == yj and (i == 1 or p_value(cols, i - 1, j - 1)):
         return True
     for k in range(1, i):
-        hmax = min(cols.f_value(i - k, j), i - k)
+        hmax = min(f_value(cols, i - k, j), i - k)
         for h in range(1, hmax + 1):
-            if j - h < 0 or cols.f_value(i, j - h) < k:
+            if j - h < 0 or f_value(cols, i, j - h) < k:
                 continue
-            if i == h + k or cols.p_value(i - h - k, j - h - k):
+            if i == h + k or p_value(cols, i - h - k, j - h - k):
                 return True
     return False

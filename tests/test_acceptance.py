@@ -23,6 +23,7 @@ from helpers import (
     bits,
     encode_pair,
     endpos_positions,
+    f_set,
     image_count_bound,
     rand_str,
     walk,
@@ -70,8 +71,8 @@ def test_criterion_3_common_suffix_sets_both_routes():
     for code in txt.codes[:5]:
         cols.push(masks.get(code, 0))
         state.step(code)
-    dp3, dp2 = bits(cols.f_set(5, 3)), bits(cols.f_set(5, 2))
-    au3, au2 = bits(state.f_set(5, 3)), bits(state.f_set(5, 2))
+    dp3, dp2 = bits(f_set(cols, 5, 3)), bits(f_set(cols, 5, 2))
+    au3, au2 = bits(f_set(state, 5, 3)), bits(f_set(state, 5, 2))
     ok = dp3 == au3 == {3, 7, 13} and dp2 == au2 == {3, 7, 10, 13}
     assert report(3, ok, f"threshold sets at column 5: {dp3} {dp2} via DP, "
                          f"{au3} {au2} via automaton")

@@ -33,6 +33,13 @@ def test_match_ends_unknown_algo():
         ts.match_ends("a", "a", "bogus")
 
 
+@pytest.mark.parametrize("algo", ["naive", "dp", "dawg"])
+@pytest.mark.parametrize("text", ["abc", ["ab", "c"]], ids=["string", "chunks"])
+def test_match_ends_rejects_empty_pattern(algo, text):
+    with pytest.raises(ValueError, match="empty pattern"):
+        ts.match_ends("", text, algo)
+
+
 def test_single_character_pattern_and_text():
     assert ts.match_ends("a", "a") == [1]
     assert ts.match_ends("a", "b") == []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from translocsearch.automaton import OpCounter, SearchState, automaton_search
-from translocsearch.dawg import START_CONFIG, advance_with_hops, build_dawg
+from translocsearch.dawg import ROOT, advance_with_hops, build_dawg
 from translocsearch.dp import dp_search
 from translocsearch.oracle import naive_search
 from translocsearch.seqcore import encode, infer_alphabet
@@ -18,6 +18,7 @@ from helpers import (
     bits,
     brute_factor_suffix_ends,
     encode_pair,
+    f_set,
     p_column,
     rand_str,
     reference_counts,
@@ -64,7 +65,7 @@ class TestStep:
         state = SearchState(encode("abc", alphabet))
         matched = state.step(alphabet.sentinel)
         assert matched is False
-        assert state.scan == START_CONFIG
+        assert (state.scan_state, state.scan_length) == (ROOT, 0)
         assert p_column(state, 1) == {0}
 
     def test_first_position_extension_only(self):
@@ -106,24 +107,23 @@ class TestFactorEndSets:
         state = SearchState(pat)
         for code in txt.codes[:5]:
             state.step(code)
-        assert bits(state.f_set(5, 3)) == {3, 7, 13}
-        assert bits(state.f_set(5, 2)) == {3, 7, 10, 13}
+        assert bits(f_set(state, 5, 3)) == {3, 7, 13}
+        assert bits(f_set(state, 5, 2)) == {3, 7, 10, 13}
 
     def test_full_length_equals_state_end_positions(self):
         pat, txt = encode_pair(EX3_X, EX3_Y)
         state = SearchState(pat)
         for code in txt.codes[:5]:
             state.step(code)
-        cfg = state.scan
-        assert state.f_set(5, cfg.length) == state.dawg.endpos[cfg.state]
+        assert f_set(state, 5, state.scan_length) == state.dawg.endpos[state.scan_state]
 
     def test_too_long_suffix_gives_empty_set(self):
         pat, txt = encode_pair("ab", "zzz")
         state = SearchState(pat)
         for code in txt.codes:
             state.step(code)
-        assert state.f_set(3, 1) == 0
-        assert state.f_set(3, 2) == 0
+        assert f_set(state, 3, 1) == 0
+        assert f_set(state, 3, 2) == 0
 
     def test_matches_brute_force(self):
         rng = random.Random(101)
@@ -135,8 +135,8 @@ class TestFactorEndSets:
             state = SearchState(pat)
             for j, code in enumerate(txt.codes, start=1):
                 state.step(code)
-                for k in range(1, state.scan.length + 1):
-                    assert bits(state.f_set(j, k)) == (
+                for k in range(1, state.scan_length + 1):
+                    assert bits(f_set(state, j, k)) == (
                         brute_factor_suffix_ends(x, y[:j], k)
                     ), (x, y, j, k)
 
@@ -253,10 +253,10 @@ def test_counters_on_golden_inputs(name):
     assert (len(report), counter) == (hits, expected)
     assert counter == reference_counts(pat, txt)
     d = build_dawg(pat)
-    config, total_l = START_CONFIG, 0
+    q, length, total_l = ROOT, 0, 0
     for code in txt:
-        config, _ = advance_with_hops(d, config.state, config.length, code)
-        total_l += config.length
+        (q, length), _ = advance_with_hops(d, q, length, code)
+        total_l += length
     assert counter.suffix_hops <= total_l
 
 

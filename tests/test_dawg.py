@@ -2,13 +2,7 @@ import random
 
 import pytest
 
-from translocsearch.dawg import (
-    ROOT,
-    START_CONFIG,
-    ScanConfig,
-    advance_with_hops,
-    build_dawg,
-)
+from translocsearch.dawg import ROOT, advance_with_hops, build_dawg
 from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import (
@@ -36,7 +30,8 @@ def state_of(dawg, alphabet, w: str):
 
 
 def advance(dawg, config, code):
-    new_config, _ = advance_with_hops(dawg, config.state, config.length, code)
+    """The (state, length) configuration after one more text symbol."""
+    new_config, _ = advance_with_hops(dawg, *config, code)
     return new_config
 
 
@@ -45,7 +40,7 @@ def transition_count(dawg):
 
 
 def scan(dawg, codes):
-    config = START_CONFIG
+    config = (ROOT, 0)
     for c in codes:
         config = advance(dawg, config, c)
     return config
@@ -123,11 +118,11 @@ class TestAdvance:
         # values derived from the brute-force longest-factor-suffix oracle
         d, a = build_str(EX4_X)
         y = encode(EX4_Y, a).codes
-        cfg = scan(d, y[:5])
-        assert cfg.length == 2
+        _, length = scan(d, y[:5])
+        assert length == 2
         assert brute_longest_factor_suffix(EX4_X, EX4_Y[:5]) == 2
-        cfg = scan(d, y[:11])
-        assert cfg.length == 3
+        _, length = scan(d, y[:11])
+        assert length == 3
         assert brute_longest_factor_suffix(EX4_X, EX4_Y[:11]) == 3
 
     def test_symbol_outside_pattern_resets(self):
@@ -135,7 +130,7 @@ class TestAdvance:
         sentinel = a.sentinel
         for prefix in ("", "ag", "aggga"):
             cfg = scan(d, encode(prefix, a).codes)
-            assert advance(d, cfg, sentinel) == ScanConfig(ROOT, 0)
+            assert advance(d, cfg, sentinel) == (ROOT, 0)
 
     def test_streaming_matches_brute_force(self):
         rng = random.Random(23)
@@ -144,27 +139,27 @@ class TestAdvance:
             x = rand_str(rng, sigma, rng.randint(1, 10))
             y = rand_str(rng, sigma, rng.randint(0, 30))
             d, a = build_str(x)
-            config = START_CONFIG
+            q, length = ROOT, 0
             for j, c in enumerate(encode(y, a).codes, start=1):
-                config = advance(d, config, c)
-                assert config.length == brute_longest_factor_suffix(x, y[:j])
+                q, length = advance(d, (q, length), c)
+                assert length == brute_longest_factor_suffix(x, y[:j])
                 # configuration invariants
-                assert config.length <= d.lens[config.state]
-                if config.state != ROOT:
-                    assert config.length > d.lens[d.suf[config.state]]
+                assert length <= d.lens[q]
+                if q != ROOT:
+                    assert length > d.lens[d.suf[q]]
 
     def test_improved_links_agree_with_plain_suffix_walk(self):
         def advance_plain(d, config, c):
             q, l = config
             t = d.trans[q].get(c)
             if t is not None:
-                return ScanConfig(t, l + 1)
+                return t, l + 1
             p = d.suf[q]
             while p != -1 and c not in d.trans[p]:
                 p = d.suf[p]
             if p == -1:
-                return ScanConfig(ROOT, 0)
-            return ScanConfig(d.trans[p][c], d.lens[p] + 1)
+                return ROOT, 0
+            return d.trans[p][c], d.lens[p] + 1
 
         rng = random.Random(31)
         for _ in range(40):
@@ -172,7 +167,7 @@ class TestAdvance:
             x = rand_str(rng, sigma, rng.randint(1, 16))
             y = rand_str(rng, sigma, rng.randint(0, 60))
             d, a = build_str(x)
-            fast = plain = START_CONFIG
+            fast = plain = (ROOT, 0)
             for c in encode(y, a).codes:
                 fast = advance(d, fast, c)
                 plain = advance_plain(d, plain, c)
@@ -218,12 +213,12 @@ class TestSuffixState:
             x = rand_str(rng, sigma, rng.randint(1, 10))
             y = rand_str(rng, sigma, rng.randint(0, 30))
             d, a = build_str(x)
-            config = START_CONFIG
+            q, length = ROOT, 0
             for j, c in enumerate(encode(y, a).codes, start=1):
-                config = advance(d, config, c)
+                q, length = advance(d, (q, length), c)
                 prev = None
-                for k in range(config.length, 0, -1):
-                    got = endpos_positions(d, suffix_state(d, config.state, k))
+                for k in range(length, 0, -1):
+                    got = endpos_positions(d, suffix_state(d, q, k))
                     assert got == brute_factor_suffix_ends(x, y[:j], k)
                     if prev is not None:
                         assert prev <= got

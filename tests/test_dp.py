@@ -13,6 +13,9 @@ from helpers import (
     bits,
     brute_common_suffix,
     encode_pair,
+    f_set,
+    f_value,
+    p_value,
     prefix_match_cell,
     rand_str,
 )
@@ -59,10 +62,10 @@ class TestSearch:
 class TestCommonSuffixTable:
     def test_example_threshold_sets(self):
         cols = run_columns(EX3_X, EX3_Y, upto=5)
-        assert bits(cols.f_set(5, 3)) == {3, 7, 13}
-        assert bits(cols.f_set(5, 2)) == {3, 7, 10, 13}
+        assert bits(f_set(cols, 5, 3)) == {3, 7, 13}
+        assert bits(f_set(cols, 5, 2)) == {3, 7, 10, 13}
         # nesting of the threshold sets
-        assert bits(cols.f_set(5, 3)) <= bits(cols.f_set(5, 2))
+        assert bits(f_set(cols, 5, 3)) <= bits(f_set(cols, 5, 2))
 
     def test_lengths_match_brute_force(self):
         rng = random.Random(3)
@@ -76,15 +79,15 @@ class TestCommonSuffixTable:
             for j, code in enumerate(txt.codes, start=1):
                 cols.push(masks.get(code, 0))
                 for i in range(len(x) + 1):
-                    assert cols.f_value(i, j) == brute_common_suffix(x, y, i, j)
+                    assert f_value(cols, i, j) == brute_common_suffix(x, y, i, j)
 
     def test_thresholds_encode_lengths(self):
         # i is in the level-k set exactly when F[i,j] >= k
         cols = run_columns(EX3_X, EX3_Y)
         j = cols.pos
-        col = [cols.f_value(i, j) for i in range(cols.m + 1)]
+        col = [f_value(cols, i, j) for i in range(cols.m + 1)]
         for k in range(1, max(col) + 1):
-            assert bits(cols.f_set(j, k)) == {
+            assert bits(f_set(cols, j, k)) == {
                 i for i, v in enumerate(col) if v >= k
             }
 
@@ -99,8 +102,8 @@ class TestPrefixCell:
     def test_hand_evaluated_swap(self):
         # x="ab", y="ba", i=2, j=2: h=k=1 with F[1,2]>=1, F[2,1]>=1, P[0,0]
         cols = run_columns("ab", "ba", upto=2)
-        assert cols.f_value(1, 2) >= 1
-        assert cols.f_value(2, 1) >= 1
+        assert f_value(cols, 1, 2) >= 1
+        assert f_value(cols, 2, 1) >= 1
         assert prefix_match_cell(cols, 2, 2, 1, 0) is True
 
     def test_identity_chain(self):
@@ -110,7 +113,7 @@ class TestPrefixCell:
     def test_sentinel_row_always_true(self):
         cols = run_columns("abc", "xx")
         for j in (1, 2):
-            assert cols.p_value(0, j) is True
+            assert p_value(cols, 0, j) is True
             assert prefix_match_cell(cols, 0, j, 0, 0) is True
 
     def test_cell_recurrence_agrees_with_column_engine(self):
@@ -127,7 +130,7 @@ class TestPrefixCell:
                     expected = prefix_match_cell(
                         cols, i, j, pat.codes[i - 1], code
                     )
-                    assert cols.p_value(i, j) == expected, (x, y, i, j)
+                    assert p_value(cols, i, j) == expected, (x, y, i, j)
 
 
 class TestRingBuffer:
@@ -173,7 +176,7 @@ class TestRingBuffer:
     def test_columns_out_of_window_rejected(self):
         cols = run_columns("ab", "abababab")
         with pytest.raises(IndexError):
-            cols.p_value(1, cols.pos - cols.m - 1)
+            p_value(cols, 1, cols.pos - cols.m - 1)
 
 
 def test_agrees_with_enumeration_oracle():
