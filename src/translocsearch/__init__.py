@@ -11,7 +11,8 @@ Three engines report the same 1-based match end positions:
 * :func:`translocsearch.automaton.automaton_search` streams the text
   through the pattern's factor automaton in O(m^2) working memory.
 
-Each takes the text as a coded Sequence or as a stream of symbol codes.
+Each takes the text as any iterable of symbol codes and returns the list
+of 1-based match end positions, as :func:`match_ends` does.
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
@@ -32,7 +33,6 @@ from .oracle import (
 )
 from .seqcore import (
     Alphabet,
-    MatchReport,
     Sequence,
     encode,
     infer_alphabet,
@@ -45,7 +45,6 @@ __all__ = [
     "Dawg",
     "DpColumns",
     "ImageExplosionError",
-    "MatchReport",
     "OpCounter",
     "SearchState",
     "Sequence",
@@ -89,7 +88,7 @@ def match_ends(
                 f"naive engine refuses patterns longer than {naive_limit}"
             )
         txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
-        return list(naive_search(pat, txt).end_positions)
+        return naive_search(pat, txt)
     if algo not in ("dp", "dawg"):
         raise ValueError(f"unknown algorithm {algo!r}")
     hits = []
@@ -101,12 +100,12 @@ def match_ends(
             continue
         run = chain(codes, chain.from_iterable(map(itemgetter(1), pieces)))
         if algo == "dp":
-            report = dp_search(pat, run)
+            ends = dp_search(pat, run)
         else:
             if d is None:
                 d = build_dawg(pat)
-            report, _ = automaton_search(pat, run, d, count=False)
-        hits.extend(start + j for j in report.end_positions)
+            ends, _ = automaton_search(pat, run, d, count=False)
+        hits.extend(start + j for j in ends)
     return hits
 
 

@@ -26,7 +26,7 @@ from typing import Iterable
 
 from .dawg import ROOT, Dawg, advance_with_hops, build_dawg
 from .dp import DpColumns
-from .seqcore import MatchReport, Sequence
+from .seqcore import Sequence
 
 
 @dataclass
@@ -182,12 +182,12 @@ class SearchState(DpColumns):
 
 def automaton_search(
     pattern: Sequence,
-    text: Sequence | Iterable[int],
+    text: Iterable[int],
     dawg: Dawg | None = None,
     count: bool = True,
-) -> tuple[MatchReport, OpCounter | None]:
-    """Run a full search over ``text``, which may be a coded Sequence or
-    any iterable of symbol codes (streams are consumed incrementally).
+) -> tuple[list[int], OpCounter | None]:
+    """The 1-based match end positions in ``text``, any iterable of symbol
+    codes (streams are consumed incrementally), and the work counters.
 
     The counter is None when ``count`` is false; the search then does no
     counting work at all."""
@@ -200,4 +200,4 @@ def automaton_search(
             hits.append(j)
         if counter is not None:
             state.tally(counter)
-    return MatchReport(tuple(hits)), counter
+    return hits, counter

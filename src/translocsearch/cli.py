@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import re
 import sys
 import zlib
@@ -20,18 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
 from .oracle import DEFAULT_NAIVE_LIMIT
 from .seqcore import Sequence
-
-CSV_HEADER = (
-    "m,n,sigma,seed,delta_steps,suffix_hops,inner_iterations,"
-    "endpos_queries,normalized_cost"
-)
-
 
 # --text-file and FASTA lines are read in pieces of this many characters
 CHUNK_CHARS = 2 * 1024
@@ -48,8 +43,7 @@ class FastaRecord:
     chunks: Iterable[str]
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     m: int
     n: int
     sigma: int
@@ -61,18 +55,17 @@ class BenchRow:
     normalized_cost: float
 
     def as_csv(self) -> str:
-        return (
-            f"{self.m},{self.n},{self.sigma},{self.seed},"
-            f"{self.delta_steps},{self.suffix_hops},{self.inner_iterations},"
-            f"{self.endpos_queries},{self.normalized_cost:.6f}"
-        )
+        return ",".join(map(str, self[:-1])) + f",{self.normalized_cost:.6f}"
+
+
+CSV_HEADER = ",".join(BenchRow._fields)
 
 
 def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
     """Standard FASTA, read lazily in pieces of at most CHUNK_CHARS
     characters: a '>' at the start of a line opens a record whose ID is the
     line's first word, each piece of a sequence line is one chunk,
-    uppercased and stripped of whitespace, and blank lines are ignored.
+    stripped of whitespace, and blank lines are ignored.
 
     A record's chunks must be read before the next record is taken: taking
     it skips the rest of the current record.  A malformed line raises
@@ -104,7 +97,7 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
         tokens = head.split(maxsplit=1)
         if not tokens:
             raise ValueError("empty FASTA header")
-        chunks = ("".join(piece.split()).upper() for piece in group)
+        chunks = ("".join(piece.split()) for piece in group)
         yield FastaRecord(tokens[0], (chunk for chunk in chunks if chunk))
 
 
@@ -133,15 +126,14 @@ def _load_pattern(args: argparse.Namespace) -> str:
 
 @contextmanager
 def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
-    """The records of the text source, readable inside the ``with`` block,
-    uppercased like FASTA sequences."""
+    """The records of the text source, readable inside the ``with`` block."""
     if args.text is not None:
-        yield [FastaRecord("stdin", (args.text.upper(),))]
+        yield [FastaRecord("stdin", (args.text,))]
     elif args.text_file == "-":
-        yield [FastaRecord("stdin", map(str.upper, read_chunks(sys.stdin)))]
+        yield [FastaRecord("stdin", read_chunks(sys.stdin))]
     elif args.text_file is not None:
         with _open_text(args.text_file) as fh:
-            yield [FastaRecord(args.text_file, map(str.upper, read_chunks(fh)))]
+            yield [FastaRecord(args.text_file, read_chunks(fh))]
     else:
         with _open_text(args.fasta) as fh:
             yield parse_fasta(fh)
@@ -165,7 +157,7 @@ def _open_text(path: str) -> TextIO:
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     """TSV lines are written as each record finishes, so an error in a
     later record leaves them in place; JSON is written once, at the end."""
-    # every text source is uppercased, so fold the pattern the same way
+    # the pattern and every text source are uppercased, chunk by chunk
     pattern_raw = _load_pattern(args).upper()
     if not pattern_raw:
         raise ValueError("empty pattern")
@@ -173,7 +165,8 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     matches = []
     with _open_records(args) as records:
         for record in records:
-            ends = match_ends(pattern_raw, record.chunks, args.algo, args.naive_limit)
+            chunks = map(str.upper, record.chunks)
+            ends = match_ends(pattern_raw, chunks, args.algo, args.naive_limit)
             if args.format == "json":
                 matches.extend({"record": record.id, "end": end} for end in ends)
             else:
@@ -202,17 +195,15 @@ def bench_rows(
         raise ValueError("n must be at least the largest pattern length")
     if trials < 1:
         raise ValueError("trials must be positive")
-    import numpy as np  # only the benchmark needs it; keeps `utd search` start-up fast
-
     rows = []
     for m in m_list:
         log_term = math.log(m, sigma)
         denom = n * log_term * log_term
         for trial in range(trials):
             tseed = trial_seed(seed, m, trial)
-            rng = np.random.default_rng(tseed)
-            pattern = Sequence(tuple(int(c) for c in rng.integers(0, sigma, m)))
-            text = rng.integers(0, sigma, n).tolist()
+            rng = random.Random(tseed)
+            pattern = Sequence(tuple(rng.choices(range(sigma), k=m)))
+            text = rng.choices(range(sigma), k=n)
             _, counter = automaton_search(pattern, text)
             cost = counter.inner_iterations / denom if denom > 0 else math.inf
             rows.append(

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .seqcore import MatchReport, Sequence
+from .seqcore import Sequence
 
 
 class DpColumns:
@@ -98,15 +98,14 @@ class DpColumns:
         return (p >> m) & 1 == 1
 
 
-def dp_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
+def dp_search(pattern: Sequence, text: Iterable[int]) -> list[int]:
     """All 1-based end positions where the pattern matches a text window
-    after non-overlapping swaps of adjacent factor pairs.  ``text`` may be
-    a coded Sequence or any iterable of symbol codes (streams are consumed
-    incrementally)."""
+    after non-overlapping swaps of adjacent factor pairs.  ``text`` is any
+    iterable of symbol codes (streams are consumed incrementally)."""
     masks = pattern.symbol_masks()
     cols = DpColumns(pattern.length)
     hits = []
     for j, code in enumerate(text, start=1):
         if cols.push(masks.get(code, 0)):
             hits.append(j)
-    return MatchReport(tuple(hits))
+    return hits

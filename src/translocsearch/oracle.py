@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .seqcore import MatchReport, Sequence
+from .seqcore import Sequence
 
 DEFAULT_IMAGE_CAP = 1_000_000
 DEFAULT_NAIVE_LIMIT = 12
@@ -51,11 +51,11 @@ def enumerate_images(
     return images[0]
 
 
-def naive_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchReport:
-    """Report j iff the window y[j-m+1..j] is an image of the pattern.
+def naive_search(pattern: Sequence, text: Iterable[int]) -> list[int]:
+    """The 1-based ends j of the windows y[j-m+1..j] that are images of
+    the pattern.
 
-    ``text`` may be a coded Sequence or any iterable of symbol codes; only
-    the last m codes are kept.
+    ``text`` is any iterable of symbol codes; only the last m are kept.
     """
     m = pattern.length
     if m == 0:
@@ -68,4 +68,4 @@ def naive_search(pattern: Sequence, text: Sequence | Iterable[int]) -> MatchRepo
             images = enumerate_images(pattern)
         if j >= m and tuple(window) in images:
             hits.append(j)
-    return MatchReport(tuple(hits))
+    return hits

@@ -1,4 +1,4 @@
-"""Alphabets, coded sequences, and match reports shared by every engine.
+"""Alphabets and coded sequences shared by every engine.
 
 All positions reported to callers are 1-based: a pattern of length m
 occupies x[1..m] and a match ending at text position j means the window
@@ -55,23 +55,6 @@ class Sequence:
         for idx, code in enumerate(self.codes):
             masks[code] = masks.get(code, 0) | (1 << (idx + 1))
         return masks
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """Strictly increasing 1-based text positions where the pattern matches."""
-
-    end_positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.end_positions, self.end_positions[1:])):
-            raise ValueError("end positions must be strictly increasing")
-
-    def __iter__(self):
-        return iter(self.end_positions)
-
-    def __len__(self) -> int:
-        return len(self.end_positions)
 
 
 def infer_alphabet(raw: str) -> Alphabet:

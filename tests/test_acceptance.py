@@ -55,12 +55,11 @@ def test_criterion_1_dawg_golden_example():
 
 def test_criterion_2_all_engines_on_known_match():
     pat, txt = encode_pair(EX2_X, EX2_Y)
-    naive = naive_search(pat, txt).end_positions
-    dp = dp_search(pat, txt).end_positions
+    naive = naive_search(pat, txt)
+    dp = dp_search(pat, txt)
     dawg, _ = automaton_search(pat, txt)
-    ok = naive == dp == dawg.end_positions == (12,)
-    assert report(2, ok, f"three engines report {{12}}: {naive} {dp} "
-                         f"{dawg.end_positions}")
+    ok = naive == dp == dawg == [12]
+    assert report(2, ok, f"three engines report {{12}}: {naive} {dp} {dawg}")
 
 
 def test_criterion_3_common_suffix_sets_both_routes():
@@ -88,10 +87,10 @@ def test_criterion_4_oracle_equivalence_small_scale():
         x = rand_str(rng, sigma, m)
         y = rand_str(rng, sigma, n)
         pat, txt = encode_pair(x, y)
-        expected = naive_search(pat, txt).end_positions
-        got_dp = dp_search(pat, txt).end_positions
+        expected = naive_search(pat, txt)
+        got_dp = dp_search(pat, txt)
         got_dawg, _ = automaton_search(pat, txt)
-        if not (expected == got_dp == got_dawg.end_positions):
+        if not (expected == got_dp == got_dawg):
             mismatches += 1
     ok = mismatches == 0
     assert report(4, ok, f"1000 random instances, {mismatches} mismatches")
@@ -107,9 +106,9 @@ def test_criterion_5_engine_equivalence_at_scale():
         x = rand_str(rng, sigma, m)
         y = rand_str(rng, sigma, n)
         pat, txt = encode_pair(x, y)
-        got_dp = dp_search(pat, txt).end_positions
+        got_dp = dp_search(pat, txt)
         got_dawg, _ = automaton_search(pat, txt)
-        if got_dp != got_dawg.end_positions:
+        if got_dp != got_dawg:
             mismatches += 1
     ok = mismatches == 0
     assert report(5, ok, f"100 random instances up to n=5000, "

@@ -46,11 +46,18 @@ def test_single_character_pattern_and_text():
 
 
 def test_empty_text_is_empty_report_everywhere():
-    pat, txt = encode_pair("ab", "")
-    assert ts.naive_search(pat, txt).end_positions == ()
-    assert ts.dp_search(pat, txt).end_positions == ()
-    report, _ = ts.automaton_search(pat, txt)
-    assert report.end_positions == ()
+    """Every search returns a plain list of 1-based ends, the same one."""
+    for y, expected in ((EX2_Y, [12]), ("", [])):
+        pat, txt = encode_pair(EX2_X, y)
+        results = [
+            ts.naive_search(pat, txt),
+            ts.dp_search(pat, txt),
+            ts.automaton_search(pat, txt, count=True)[0],
+            ts.automaton_search(pat, txt, count=False)[0],
+        ] + [ts.match_ends(EX2_X, y, algo) for algo in ("naive", "dp", "dawg")]
+        for ends in results:
+            assert type(ends) is list
+            assert ends == expected, y
 
 
 def test_text_with_only_unknown_symbols():

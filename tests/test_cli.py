@@ -22,9 +22,9 @@ from helpers import EX2_X, EX2_Y, rand_str
 
 
 class TestParseFasta:
-    def test_concatenation_and_uppercase(self):
-        records = parse_fasta(io.StringIO(">r1\nacg\nt\n"))
-        assert [(r.id, "".join(r.chunks)) for r in records] == [("r1", "ACGT")]
+    def test_concatenation_keeps_case(self):
+        records = parse_fasta(io.StringIO(">r1\nacg\nT\n"))
+        assert [(r.id, "".join(r.chunks)) for r in records] == [("r1", "acgT")]
 
     def test_empty_record_allowed(self):
         records = parse_fasta(io.StringIO(">a\n>b\nGG\n"))
@@ -37,7 +37,7 @@ class TestParseFasta:
     def test_blank_lines_ignored_and_id_is_first_token(self):
         record = next(parse_fasta(io.StringIO(">seq1 description here\n\nac\n\ngt\n")))
         assert record.id == "seq1"
-        assert "".join(record.chunks) == "ACGT"
+        assert "".join(record.chunks) == "acgt"
 
     def test_empty_header_rejected(self):
         with pytest.raises(ValueError, match="empty FASTA header"):
@@ -49,7 +49,7 @@ class TestParseFasta:
         monkeypatch.setattr(cli, "CHUNK_CHARS", 3)
         records = parse_fasta(io.StringIO(">r1 xy>z\nacg>t\n>r2\nA\n"))
         assert [(r.id, "".join(r.chunks)) for r in records] == [
-            ("r1", "ACG>T"), ("r2", "A")
+            ("r1", "acg>t"), ("r2", "A")
         ]
 
     def test_taking_the_next_record_skips_unread_lines(self):

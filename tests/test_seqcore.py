@@ -4,7 +4,6 @@ import pytest
 
 from translocsearch.seqcore import (
     Alphabet,
-    MatchReport,
     Sequence,
     encode,
     infer_alphabet,
@@ -60,14 +59,6 @@ def test_symbol_masks_are_one_based():
     masks = seq.symbol_masks()
     assert masks[0] == (1 << 1) | (1 << 3)
     assert masks[1] == 1 << 2
-
-
-def test_match_report_requires_increasing_positions():
-    MatchReport((1, 2, 9))
-    with pytest.raises(ValueError):
-        MatchReport((3, 3))
-    with pytest.raises(ValueError):
-        MatchReport((5, 2))
 
 
 def test_sequence_length():

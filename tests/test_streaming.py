@@ -106,11 +106,11 @@ def test_counted_search_matches_reference_counts(pattern, text):
     """The per-column tally equals counts enumerated pair by pair, and
     counting changes no hit."""
     pat, txt = encode_pair(pattern, text)
-    report, counter = automaton_search(pat, txt)
+    ends, counter = automaton_search(pat, txt)
     assert counter == reference_counts(pat, txt)
     uncounted, none = automaton_search(pat, iter(txt), count=False)
     assert none is None
-    assert report == uncounted == dp_search(pat, txt)
+    assert ends == uncounted == dp_search(pat, txt)
 
 
 @st.composite
@@ -146,8 +146,8 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
     left to an engine, with few checked on their own and with the default,
     and the unfiltered engines on the whole text, all give ``expected``."""
     pat, txt = encode_pair(pattern, text)
-    assert list(dp_search(pat, txt)) == expected
-    assert list(automaton_search(pat, txt, count=False)[0]) == expected
+    assert dp_search(pat, txt) == expected
+    assert automaton_search(pat, txt, count=False)[0] == expected
     for limit in (0, 2, translocsearch.CHECKED_PER_CLUSTER):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECKED_PER_CLUSTER", limit)
@@ -167,7 +167,7 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
 @example(case=("aaaa", "a" * 9, [3, 5]))  # unary: a count reaches m, no digit carries
 def test_filtered_engines_match_naive_and_unfiltered(case):
     pattern, text, cuts = case
-    expected = list(naive_search(*encode_pair(pattern, text)))
+    expected = naive_search(*encode_pair(pattern, text))
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
@@ -178,7 +178,7 @@ def test_filter_with_multi_word_weights(case):
     """20 pattern symbols: weights up to (m+1)^19, far beyond one machine
     word; too many images for the naive engine, so `dp` is the reference."""
     pattern, text, cuts = case
-    expected = list(dp_search(*encode_pair(pattern, text)))
+    expected = dp_search(*encode_pair(pattern, text))
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
