@@ -16,7 +16,9 @@ of 1-based match end positions, as :func:`match_ends` does.
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
-Most such windows are checked one by one instead, without an engine.
+Such windows are checked one by one instead, without an engine, until
+the checks of a stretch of overlapping windows exceed a work budget of
+about m^2/4 per window; an engine runs over the rest of the stretch.
 """
 from itertools import chain, groupby, repeat
 from operator import itemgetter
@@ -109,10 +111,12 @@ def match_ends(
     return hits
 
 
-# A cluster of overlapping candidate windows is checked window by window up
-# to this many; an engine runs over the rest, where it shares the work of
-# overlapping windows and its cost per symbol is bounded.
-CHECKED_PER_CLUSTER = 8
+# Check work a cluster of overlapping candidate windows may spend per
+# window, in units of m^2 (about the (h, k) pairs an engine visits per
+# column where l_j is near m).  Once a cluster's checks overrun it, an
+# engine runs over the rest, where it shares the work of overlapping
+# windows and its cost per symbol is bounded.
+CHECK_BUDGET = 0.25
 
 
 def _pieces(
@@ -131,17 +135,19 @@ def _pieces(
     symbols and no other.  The sum is kept over a sliding window, one
     symbol in and one out per position.
 
-    Candidate windows that overlap form a cluster.  The first
-    CHECKED_PER_CLUSTER windows of a cluster are checked one by one, and
-    the rest of it, if any, is one run.  The run's hits are its offset
-    plus the hits of an engine started fresh on it: a hit at position j
-    depends only on the window ending at j.  A run may continue across
-    chunks, one piece per chunk; each piece is encoded only when it is
-    reached, and the last m-1 symbols of the text are kept for the
-    windows that end in the next chunk.
+    Candidate windows that overlap form a cluster.  Its windows are
+    checked one by one, the r-th only if the r-1 before it were and their
+    check work is below r * B, with B = CHECK_BUDGET * m^2; the rest of
+    the cluster, if any, is one run.  So the checks of a cluster of r
+    windows cost less than r * B plus the work of the last one.  The
+    run's hits are its offset plus the hits of an engine started fresh
+    on it: a hit at position j depends only on the window ending at j.
+    A run may continue across chunks, one piece per chunk; each piece is
+    encoded only when it is reached, and the last m-1 symbols of the
+    text are kept for the windows that end in the next chunk.
     """
     m = len(pattern)
-    limit = CHECKED_PER_CLUSTER
+    budget = CHECK_BUDGET * m * m
     # keyed by code point: int hashes, unlike str hashes, are the same in
     # every process, and so is the cost of a lookup
     weight = {ord(s): (m + 1) ** c for c, s in enumerate(alphabet.symbols)}.get
@@ -150,7 +156,8 @@ def _pieces(
     total = 0  # their weight
     seen = 0  # symbols before the chunk
     run = fed = -1  # the open run's offset, and the position after its last symbol
-    last, rank = -m, 0  # the last candidate window's position, and its rank in its cluster
+    last = -m  # the last candidate window's position
+    left = 0  # check work its cluster may still spend; none left once a run covers it
     for chunk in chunks:
         text = tail + chunk
         offset = seen - len(tail)  # symbols before text[0]
@@ -159,12 +166,15 @@ def _pieces(
         for k, (out, new) in enumerate(zip(map(ord, text), map(ord, text[m - 1 :]))):
             total += weight(new, 0)
             if total == target:
-                rank = rank + 1 if offset + k < last + m else 1
+                if offset + k >= last + m:  # the window opens a cluster
+                    left = budget
                 last = offset + k
-                if rank <= limit:
-                    if _is_image(pattern, text[k : k + m]):
+                if left > 0:
+                    image, work = _is_image(pattern, text[k : k + m])
+                    left += budget - work
+                    if image:
                         found.append([k, None])
-                elif rank > limit + 1 and found:  # the previous window is the span's
+                elif found and (found[-1][1] or 0) > k:  # the previous window is the span's
                     found[-1][1] = k + m
                 else:
                     found.append([k, k + m])
@@ -183,8 +193,10 @@ def _pieces(
             fed = offset + b
 
 
-def _is_image(pattern: str, window: str) -> bool:
-    """Whether ``window`` is an image of ``pattern``, of the same length.
+def _is_image(pattern: str, window: str) -> tuple[bool, int]:
+    """Whether ``window`` is an image of ``pattern``, of the same length,
+    and the work spent to tell: the symbols compared in common prefixes
+    plus the candidate units tried.
 
     An image reads left to right as units: a pattern symbol copied, or a
     factor pair zw of the pattern written as wz.  The search keeps the
@@ -202,6 +214,7 @@ def _is_image(pattern: str, window: str) -> bool:
     m = len(pattern)
     todo = 1  # prefix lengths reached and not yet extended
     done = 0
+    work = 0
     while todo:
         s = todo.bit_length() - 1
         todo ^= 1 << s
@@ -209,8 +222,9 @@ def _is_image(pattern: str, window: str) -> bool:
         e = 0
         while s + e < m and window[s + e] == pattern[s + e]:
             e += 1
+        work += e + 1
         if s + e == m:
-            return True
+            return True, work
         reach = ((2 << e) - 2) << s  # s+1 .. s+e by copies
         first = pattern[s]
         p = window.find(first, s + 1)
@@ -222,12 +236,14 @@ def _is_image(pattern: str, window: str) -> bool:
             e = 1  # common prefix of window[p:] and pattern[s:]
             while p + e < m and window[p + e] == pattern[s + e]:
                 e += 1
+            work += e
             while s < q <= s + e:
+                work += 1
                 if window[p : p + q - s] == pattern[s:q]:
                     if p + q - s == m:
-                        return True
+                        return True, work
                     reach |= 1 << (p + q - s)
                 q = pattern.find(w, q + 1)
             p = window.find(first, p + 1)
         todo |= reach & ~done
-    return False
+    return False, work

@@ -74,9 +74,13 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     engine may run through the other's layer (`SearchState` inherits
     `DpColumns.push`)."""
     fasta = tmp_path / "t.fa"
-    # r3's windows are rotations of the pattern: one cluster of 25, more
-    # than are checked one by one, so the engines run
+    # r3's windows are rotations of the pattern, each cheap to check
     fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n>r3\n{EX2_X * 3}\n")
+    # windows of A^(m-1)B text are costly to check: they exhaust the check
+    # budget of their cluster, so the engines run
+    crowded_pattern = "a" * 11 + "c"
+    crowded = tmp_path / "crowded.fa"
+    crowded.write_text(f">r4\n{crowded_pattern * 3}\n")
     other_layer = {"dp": "automaton.SearchState.step", "dawg": "dp.DpColumns.push"}
     per_pass = {}
     tracer = Tracer()
@@ -85,8 +89,9 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
         for algo in ("dp", "dawg"):
             first = tracer.span_count
             assert ts.match_ends(EX2_X, EX2_Y, algo) == [12]
-            argv = ["search", "--pattern", EX2_X, "--fasta", str(fasta), "--algo", algo]
-            assert cli.main(argv) == 0
+            for pattern, path in ((EX2_X, fasta), (crowded_pattern, crowded)):
+                argv = ["search", "--pattern", pattern, "--fasta", str(path), "--algo", algo]
+                assert cli.main(argv) == 0
             per_pass[algo] = {tracer.names[i] for i in tracer.name_ids[first:]}
     finally:
         tracer.uninstall()

@@ -1,11 +1,13 @@
 """Streamed input: chunked text gives the same matches as whole text, the
 symbol-count filter in front of `dp` and `dawg` changes no match and
-skips every window that cannot match, the CLI's output does not depend
-on how its input is split into lines or chunks, and its memory does not
-grow with the text."""
+skips every window that cannot match, the window checks behind it agree
+with the oracle and keep within their work budget, the CLI's output does
+not depend on how its input is split into lines or chunks, and its
+memory does not grow with the text."""
 import gc
 import gzip
 import io
+import math
 import os
 import random
 import subprocess
@@ -13,6 +15,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
 from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import enumerate_images, naive_search
+from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import EX2_X, EX2_Y, LETTERS, encode_pair, reference_counts
 
@@ -141,19 +145,24 @@ def filter_cases(draw, symbols: str, max_m: int):
     return pattern, text, cuts
 
 
+# Check budgets: every window left to an engine, every window checked on
+# its own, and the default
+BUDGETS = (0, math.inf, translocsearch.CHECK_BUDGET)
+
+
 def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: list[int]):
-    """Filtered `dp` and `dawg` on the chunked text, with every window
-    left to an engine, with few checked on their own and with the default,
-    and the unfiltered engines on the whole text, all give ``expected``."""
+    """Filtered `dp` and `dawg` on the chunked text, under every budget in
+    BUDGETS, and the unfiltered engines on the whole text, all give
+    ``expected``."""
     pat, txt = encode_pair(pattern, text)
     assert dp_search(pat, txt) == expected
     assert automaton_search(pat, txt, count=False)[0] == expected
-    for limit in (0, 2, translocsearch.CHECKED_PER_CLUSTER):
+    for budget in BUDGETS:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(translocsearch, "CHECKED_PER_CLUSTER", limit)
+            mp.setattr(translocsearch, "CHECK_BUDGET", budget)
             for algo in ("dp", "dawg"):
                 got = match_ends(pattern, iter(split(text, cuts)), algo)
-                assert got == expected, (algo, limit)
+                assert got == expected, (algo, budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,53 +191,100 @@ def test_filter_with_multi_word_weights(case):
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
-def candidate_symbols(pattern: str, text: str, limit: int) -> int:
+def candidate_symbols(pattern: str, text: str, budget: float) -> int:
     """Text positions the engines must step over, by brute force: windows
-    whose symbol counts equal the pattern's, taken in order, where each
-    window past the ``limit``-th of a cluster of overlapping ones covers
-    its symbols."""
+    whose symbol counts equal the pattern's, taken in order.  The r-th
+    window of a cluster of overlapping ones is checked on its own if every
+    window before it was and their check work is below r * budget * m^2;
+    otherwise it covers its symbols."""
     m, counts = len(pattern), Counter(pattern)
-    covered, last, rank = set(), -m, 0
+    covered, last = set(), -m
     for k in range(len(text) - m + 1):
         if Counter(text[k : k + m]) != counts:
             continue
-        rank = rank + 1 if k < last + m else 1
+        if k >= last + m:
+            rank, spent, checked = 0, 0, True
         last = k
-        if rank > limit:
+        rank += 1
+        checked = checked and spent < rank * budget * m * m
+        if checked:
+            spent += translocsearch._is_image(pattern, text[k : k + m])[1]
+        else:
             covered.update(range(k, k + m))
     return len(covered)
 
 
+def count_calls(mp: pytest.MonkeyPatch, calls: Counter, owner, name: str, key: str):
+    """Count the calls of ``owner.name`` in ``calls[key]``."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return original(*args, **kwargs)
+    mp.setattr(owner, name, wrapper)
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=filter_cases("abc", 7), limit=st.sampled_from((0, 1, 2, 8)))
-@example(case=("ab", "ab" * 10, list(range(21))), limit=0)  # one run of overlapping windows
-@example(case=("ab", "ab" * 10, list(range(21))), limit=8)  # 8 checked, the other 11 one run
-@example(case=("abc", "cabNNNNbca", [5]), limit=0)  # two runs
-@example(case=("abc", "cabbca", [4]), limit=1)  # touching windows: two clusters
-@example(case=("a", "aNba", [2]), limit=0)  # m = 1: only the symbols equal to the pattern
-def test_engines_step_once_per_symbol_of_a_candidate_window(case, limit):
-    """Each engine steps exactly over the windows the filter leaves to it:
-    no other symbol, and none twice.  The DAWG is built once, and only
-    when some window is left to an engine."""
+@given(case=filter_cases("abc", 7))
+@example(case=("ab", "ab" * 10, list(range(21))))  # one cluster of overlapping windows
+@example(case=("aaaab", "aaaab" * 4, [7]))  # by default 3 windows checked, the other 13 one run
+@example(case=("abc", "cabNNNNbca", [5]))  # two clusters
+@example(case=("abc", "cabbca", [4]))  # touching windows: two clusters
+@example(case=("a", "aNba", [2]))  # m = 1: only the symbols equal to the pattern
+def test_engines_step_once_per_symbol_of_a_candidate_window(case):
+    """Under every budget in BUDGETS, each engine steps exactly over the
+    windows the filter and the check budget leave to it: no other symbol,
+    and none twice.  The DAWG is built once, and only when some window is
+    left to an engine."""
     pattern, text, cuts = case
-    union = candidate_symbols(pattern, text, limit)
-    calls = Counter()
+    for budget in BUDGETS:
+        union = candidate_symbols(pattern, text, budget)
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(translocsearch, "CHECK_BUDGET", budget)
+            count_calls(mp, calls, DpColumns, "push", "dp")
+            count_calls(mp, calls, SearchState, "step", "dawg")
+            count_calls(mp, calls, translocsearch, "build_dawg", "build")
+            for algo in ("dp", "dawg"):
+                match_ends(pattern, iter(split(text, cuts)), algo)
+        assert calls["dp"] == calls["dawg"] == union, budget
+        assert calls["build"] == (union > 0), budget
 
-    def counted(name, original):
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(translocsearch, "CHECKED_PER_CLUSTER", limit)
-        mp.setattr(DpColumns, "push", counted("dp", DpColumns.push))
-        mp.setattr(SearchState, "step", counted("dawg", SearchState.step))
-        mp.setattr(translocsearch, "build_dawg", counted("build", translocsearch.build_dawg))
-        for algo in ("dp", "dawg"):
-            match_ends(pattern, iter(split(text, cuts)), algo)
-    assert calls["dp"] == calls["dawg"] == union
-    assert calls["build"] == (union > 0)
+@pytest.mark.parametrize("m", [32, 64])
+@pytest.mark.parametrize("kind", ["unary", "period-2", "A^(m-1)B"])
+def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
+    """Texts where every window is a candidate, all of one cluster.  Its
+    check work stays below its checked windows' count times the budget plus
+    the work of the last check.  Unary and period-2 windows are cheap to
+    check, so no engine runs; A^(m-1)B windows exhaust the budget, and one
+    engine run covers the rest."""
+    pattern = {"unary": "a" * m, "period-2": "ab" * (m // 2), "A^(m-1)B": "a" * (m - 1) + "b"}[kind]
+    text = (pattern * 10)[1 : 5 * m + 1]
+    rng = random.Random(m)
+    cuts = [rng.randrange(len(text) + 1) for _ in range(6)]
+    expected = dp_search(*encode_pair(pattern, text))
+    budget = translocsearch.CHECK_BUDGET * m * m
+    for algo in ("dp", "dawg"):
+        works, windows, calls = [], [], Counter()
+        check = translocsearch._is_image
+
+        def recorded(pattern, window):
+            image, work = check(pattern, window)
+            works.append(work)
+            windows.append(window)
+            return image, work
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(translocsearch, "_is_image", recorded)
+            count_calls(mp, calls, translocsearch, "dp_search", "dp")
+            count_calls(mp, calls, translocsearch, "automaton_search", "dawg")
+            assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
+        assert windows == [text[k : k + m] for k in range(len(windows))]
+        assert sum(works) - works[-1] < len(works) * budget
+        if calls[algo]:
+            assert sum(works) >= (len(works) + 1) * budget  # the budget ran out
+        assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 1}[kind]
 
 
 @st.composite
@@ -255,7 +311,35 @@ def image_cases(draw):
 def test_image_check_agrees_with_enumeration(case):
     pattern, window = case
     pat, txt = encode_pair(pattern, window)
-    assert translocsearch._is_image(pattern, window) == (txt.codes in enumerate_images(pat))
+    image, work = translocsearch._is_image(pattern, window)
+    assert image == (txt.codes in enumerate_images(pat))
+    assert work > 0
+
+
+@pytest.mark.parametrize("symbols, max_m", [("ab", 8), ("abc", 6)])
+def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
+    """Every pattern over the alphabet up to ``max_m`` symbols, against
+    every window with its symbol counts: 17 576 binary and 40 572 ternary
+    pairs."""
+    pairs = 0
+    for m in range(1, max_m + 1):
+        by_counts: dict[str, list[str]] = {}
+        for letters in product(symbols, repeat=m):
+            word = "".join(letters)
+            by_counts.setdefault("".join(sorted(word)), []).append(word)
+        for words in by_counts.values():
+            for pattern in words:
+                alphabet = infer_alphabet(pattern)
+                images = {
+                    "".join(alphabet.symbols[c] for c in image)
+                    for image in enumerate_images(encode(pattern, alphabet))
+                }
+                for window in words:
+                    assert translocsearch._is_image(pattern, window)[0] == (window in images), (
+                        pattern, window
+                    )
+                pairs += len(words)
+    assert pairs == {"ab": 17_576, "abc": 40_572}[symbols]
 
 
 def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):
