@@ -4,8 +4,8 @@ possibly unequal-length factors.
 Three engines report the same 1-based match end positions:
 
 * :func:`translocsearch.oracle.naive_search` enumerates every string the
-  pattern can be turned into and scans windows (ground truth, small
-  patterns only);
+  pattern can be turned into and scans windows (ground truth; patterns of
+  at most 12 symbols);
 * :func:`translocsearch.dp.dp_search` fills the common-suffix and
   prefix-match tables column by column;
 * :func:`translocsearch.automaton.automaton_search` streams the text
@@ -27,12 +27,7 @@ from typing import Iterable, Iterator
 from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, build_dawg
 from .dp import DpColumns, dp_search
-from .oracle import (
-    DEFAULT_NAIVE_LIMIT,
-    ImageExplosionError,
-    enumerate_images,
-    naive_search,
-)
+from .oracle import enumerate_images, naive_search
 from .seqcore import (
     Alphabet,
     Sequence,
@@ -46,7 +41,6 @@ __all__ = [
     "Alphabet",
     "Dawg",
     "DpColumns",
-    "ImageExplosionError",
     "OpCounter",
     "SearchState",
     "Sequence",
@@ -65,7 +59,6 @@ def match_ends(
     pattern: str,
     text: str | Iterable[str],
     algo: str = "dawg",
-    naive_limit: int = DEFAULT_NAIVE_LIMIT,
 ) -> list[int]:
     """Match end positions for a plain string, or for an iterable of string
     chunks searched as their concatenation; the one engine dispatch.
@@ -75,9 +68,8 @@ def match_ends(
     that :func:`_pieces` passes, each run from a fresh start, with the
     DAWG built when the first run starts; the windows it checked on their
     own are hits without an engine.  ``naive`` sees the whole text, so it
-    checks the filter and the window check too.  The naive engine refuses
-    patterns longer than ``naive_limit``: its image set grows
-    exponentially with the pattern length.
+    checks the filter and the window check too; it refuses patterns longer
+    than :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
     """
     if not pattern:
         raise ValueError("empty pattern")
@@ -85,10 +77,6 @@ def match_ends(
     pat = encode(pattern, alphabet)
     chunks = (text,) if isinstance(text, str) else text
     if algo == "naive":
-        if pat.length > naive_limit:
-            raise ValueError(
-                f"naive engine refuses patterns longer than {naive_limit}"
-            )
         txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
         return naive_search(pat, txt)
     if algo not in ("dp", "dawg"):

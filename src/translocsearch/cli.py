@@ -25,7 +25,6 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
-from .oracle import DEFAULT_NAIVE_LIMIT
 from .seqcore import Sequence
 
 # --text-file and FASTA lines are read in pieces of this many characters
@@ -166,7 +165,7 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     with _open_records(args) as records:
         for record in records:
             chunks = map(str.upper, record.chunks)
-            ends = match_ends(pattern_raw, chunks, args.algo, args.naive_limit)
+            ends = match_ends(pattern_raw, chunks, args.algo)
             if args.format == "json":
                 matches.extend({"record": record.id, "end": end} for end in ends)
             else:
@@ -261,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--format", choices=("tsv", "json"), default="tsv",
         help="output format (default: tsv)",
-    )
-    search.add_argument(
-        "--naive-limit", type=int, default=DEFAULT_NAIVE_LIMIT,
-        help="maximum pattern length accepted by the naive engine",
     )
 
     bench = sub.add_parser("bench", help="run the scaling benchmark")

@@ -100,15 +100,16 @@ def build_dawg(pattern: Sequence) -> Dawg:
     endpos = [0] * n_states
     for pos, state in enumerate(primary, start=1):
         endpos[state] |= 1 << pos
-    by_len_desc = sorted(range(1, n_states), key=lambda q: -lens[q])
-    for q in by_len_desc:
+    # lens[suf[q]] < lens[q]: every state comes after its suffix link
+    by_len = sorted(range(1, n_states), key=lens.__getitem__)
+    for q in reversed(by_len):
         endpos[suf[q]] |= endpos[q]
 
     # Outgoing label sets only grow along a suffix path, so the improved
     # link is the first ancestor with strictly more transitions, and it can
     # be inherited from the plain link when the label sets coincide.
     isuf = [-1] * n_states
-    for q in sorted(range(1, n_states), key=lambda q: lens[q]):
+    for q in by_len:
         s = suf[q]
         isuf[q] = s if len(trans[s]) > len(trans[q]) else isuf[s]
 

@@ -5,7 +5,9 @@ by partitioning the pattern left to right into units, each unit being
 either one copied character or a pair of adjacent factors zw (both
 non-empty, lengths free) emitted swapped as wz.  Enumerating every such
 partition gives the exact set of matchable strings, against which the
-fast engines are verified.
+fast engines are verified.  The set grows exponentially with the pattern
+length, so both functions refuse patterns longer than NAIVE_LIMIT before
+building any image: at that length there are at most 10,252 images.
 """
 from __future__ import annotations
 
@@ -14,17 +16,10 @@ from typing import Iterable
 
 from .seqcore import Sequence
 
-DEFAULT_IMAGE_CAP = 1_000_000
-DEFAULT_NAIVE_LIMIT = 12
+NAIVE_LIMIT = 12
 
 
-class ImageExplosionError(ValueError):
-    """Raised when the number of distinct images exceeds the cap."""
-
-
-def enumerate_images(
-    pattern: Sequence, cap: int = DEFAULT_IMAGE_CAP
-) -> frozenset[tuple[int, ...]]:
+def enumerate_images(pattern: Sequence) -> frozenset[tuple[int, ...]]:
     """All distinct strings reachable from the pattern by non-overlapping
     swaps of adjacent factor pairs, as tuples of codes.
 
@@ -34,6 +29,8 @@ def enumerate_images(
     m = pattern.length
     if m == 0:
         raise ValueError("empty pattern")
+    if m > NAIVE_LIMIT:
+        raise ValueError(f"naive engine refuses patterns longer than {NAIVE_LIMIT}")
     codes = pattern.codes
     # images[p] holds the images of the suffix codes[p:], filled right to left
     images = [frozenset()] * m + [frozenset([()])]
@@ -43,10 +40,6 @@ def enumerate_images(
             for k in range(1, m - p - h + 1):
                 unit = codes[p + h : p + h + k] + codes[p : p + h]
                 out.update(unit + tail for tail in images[p + h + k])
-        if len(out) > cap:
-            raise ImageExplosionError(
-                f"image explosion: more than {cap} distinct images"
-            )
         images[p] = frozenset(out)
     return images[0]
 
@@ -57,15 +50,12 @@ def naive_search(pattern: Sequence, text: Iterable[int]) -> list[int]:
 
     ``text`` is any iterable of symbol codes; only the last m are kept.
     """
+    images = enumerate_images(pattern)
     m = pattern.length
-    if m == 0:
-        raise ValueError("empty pattern")
     window: deque[int] = deque(maxlen=m)
     hits = []
     for j, code in enumerate(text, start=1):
         window.append(code)
-        if j == m:  # first full window: a text shorter than m never pays for images
-            images = enumerate_images(pattern)
         if j >= m and tuple(window) in images:
             hits.append(j)
     return hits

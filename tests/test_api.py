@@ -19,13 +19,12 @@ def test_match_ends_all_engines():
         assert ts.match_ends("ab", "abba", algo) == [2, 4]
 
 
-def test_match_ends_naive_limit():
-    long_pattern = "abcd" * 4
-    with pytest.raises(
-        ValueError, match="naive engine refuses patterns longer than 12"
-    ):
-        ts.match_ends(long_pattern, long_pattern, "naive")
-    assert ts.match_ends(long_pattern, long_pattern, "naive", naive_limit=16) == [16]
+def test_match_ends_naive_refuses_long_patterns():
+    for text in ("", "abc", "abcdefghijklm" * 2, ["abc", "d"]):
+        with pytest.raises(
+            ValueError, match="naive engine refuses patterns longer than 12"
+        ):
+            ts.match_ends("abcdefghijklm", text, "naive")
 
 
 def test_match_ends_unknown_algo():

@@ -120,17 +120,21 @@ class TestSearchCommand:
         assert main(["search", "--pattern", "", "--text", "abc"]) == 2
 
     def test_naive_engine_limit(self, capsys):
-        long_pattern = "abcd" * 4
+        long_pattern = "abcdefghijklm"
         code = main(
             ["search", "--pattern", long_pattern, "--text", long_pattern,
              "--algo", "naive"]
         )
         assert code == 2
-        code = main(
-            ["search", "--pattern", long_pattern, "--text", long_pattern,
-             "--algo", "naive", "--naive-limit", "16"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "utd: error: naive engine refuses patterns longer than 12\n"
         )
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--pattern", "ab", "--text", "ab", "--algo", "naive",
+                  "--naive-limit", "16"])
+        assert exc.value.code == 2
 
     def test_engines_agree_through_cli(self, capsys):
         rng = random.Random(19)

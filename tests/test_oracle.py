@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from translocsearch.oracle import (
-    ImageExplosionError,
-    enumerate_images,
-    naive_search,
-)
+from translocsearch.oracle import NAIVE_LIMIT, enumerate_images, naive_search
 from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import EX2_X, EX2_Y, encode_pair, image_count_bound, rand_str
+
+
+REFUSAL = "naive engine refuses patterns longer than 12"
 
 
 def images_of(s: str) -> set[str]:
@@ -58,22 +57,35 @@ class TestEnumeration:
             assert swapped in images_of(s)
             assert s in images_of(swapped)
 
-    def test_cap_exceeded_raises(self):
-        seq = encode("abcdef", infer_alphabet("abcdef"))
-        with pytest.raises(ImageExplosionError, match="image explosion"):
-            enumerate_images(seq, cap=10)
+    def test_pattern_over_limit_refused(self):
+        assert NAIVE_LIMIT == 12
+        seq = encode("abcdefghijklm", infer_alphabet("abcdefghijklm"))
+        with pytest.raises(ValueError, match=REFUSAL):
+            enumerate_images(seq)
+
+    def test_longest_accepted_pattern_enumerates_every_image(self):
+        s = "abcdefghijkl"
+        assert len(enumerate_images(encode(s, infer_alphabet(s)))) == 10_252
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="empty pattern"):
             enumerate_images(encode("", infer_alphabet("")))
 
-    def test_long_pattern_hits_cap_not_recursion_limit(self):
+    def test_very_long_pattern_refused_at_once(self):
         seq = encode("acgt" * 275, infer_alphabet("acgt"))
-        with pytest.raises(ImageExplosionError, match="image explosion"):
-            enumerate_images(seq, cap=1000)
+        with pytest.raises(ValueError, match=REFUSAL):
+            enumerate_images(seq)
 
 
 class TestNaiveSearch:
+    @pytest.mark.parametrize(
+        "text", ["", "abc", "abcdefghijklm" * 2], ids=["empty", "shorter", "longer"]
+    )
+    def test_pattern_over_limit_refused_whatever_the_text(self, text):
+        pat, txt = encode_pair("abcdefghijklm", text)
+        with pytest.raises(ValueError, match=REFUSAL):
+            naive_search(pat, txt)
+
     def test_known_two_swap_match(self):
         pat, txt = encode_pair(EX2_X, EX2_Y)
         assert naive_search(pat, txt) == [12]
