@@ -11,7 +11,9 @@ ancestor of q_j covering length k, and it is empty for k > l_j.
 
 Each column walks q_j's suffix path once, while h counts down from l_j,
 one hop per length unit at most; the chain holds references to the
-automaton's masks, so no new integers are made.  Working memory is
+automaton's masks, so no new integers are made.  Conditions (a) and (b)
+then run in :meth:`DpColumns._close`, the one translocation loop both
+engines share, so the engines differ only in the chain.  Working memory is
 O(m^2) regardless of text length, and the text is consumed strictly left
 to right, one symbol at a time.
 
@@ -73,48 +75,26 @@ class SearchState(DpColumns):
         """Consume one text symbol; true iff the whole pattern matches at
         the new position.
 
-        The translocation loops run h from l_j down to 1, carrying u along
-        q_j's suffix path: u is stepped to its suffix link exactly when h
-        sinks to the link's length, so u always covers length h, and
-        endpos[u] is level h of column j's chain.  The k loop reads column
-        j-h's stored chain, bounded as in :meth:`DpColumns.push`.
+        Advances the scan configuration to (q_j, l_j), then fills column
+        j's chain for h = l_j down to 1, carrying u along q_j's suffix
+        path: u is stepped to its suffix link exactly when h sinks to the
+        link's length, so u always covers length h, and endpos[u] is level
+        h.  :meth:`DpColumns._close` then runs the translocation loop.
         """
         d = self.dawg
-        cap = self.cap
-        fcols = self._f
-        psets = self._p
-        m = self.m
-        endpos = d.endpos
-        link_len = d.link_len
-        suf = d.suf
-
-        j = self.pos + 1
         (u, lj), self.hops = advance_with_hops(
             d, self.scan_state, self.scan_length, code
         )
         self.scan_state, self.scan_length = u, lj
-
-        pj = 1 | ((psets[(j - 1) % cap] << 1) & self.ext_masks.get(code, 0))
-
+        endpos = d.endpos
+        link_len = d.link_len
+        suf = d.suf
         chain = [self.full] * (lj + 1)
         for h in range(lj, 0, -1):
             if link_len[u] == h:
                 u = suf[u]
-            ep_u = chain[h] = endpos[u]
-            jh = j - h
-            fcol = fcols[jh % cap]
-            kend = m - h + 1  # k <= l_{j-h} and h+k <= m; min() costs a call per h
-            if len(fcol) < kend:
-                kend = len(fcol)
-            for k in range(1, kend):
-                add = (((psets[(jh - k) % cap] << h) & ep_u) << k) & fcol[k]
-                if add:
-                    pj |= add
-
-        fcols[j % cap] = chain
-        psets[j % cap] = pj
-        self.pos = j
-        return (pj >> m) & 1 == 1
+            chain[h] = endpos[u]
+        return self._close(chain, self.ext_masks.get(code, 0))
 
     def tally(self, counter: OpCounter) -> None:
         """Add the work of the last step to ``counter``, at O(l_j) cost.

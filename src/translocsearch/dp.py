@@ -51,26 +51,34 @@ class DpColumns:
     def push(self, eq_mask: int) -> bool:
         """Fill column pos+1 given the mask {i : x[i] = y[pos+1]}.
 
-        Returns whether the full pattern matches at the new column.
+        Builds the column's F-chain from column pos's, then closes the
+        column with :meth:`_close`.  Returns whether the full pattern
+        matches at the new column.
         """
-        j = self.pos + 1
-        cap = self.cap
-        m = self.m
-        fprev = self._f[(j - 1) % cap]
-        plist = self._p
-
         # F thresholds: {i : F[i,j] >= k} = {i : x[i]=y[j]} & shifted level
         # k-1 of the previous column.  Levels are nested, so the chain stops
         # at the first empty one; its length minus one is max(F[.,j]).
         chain = [self.full]
-        prev_levels = len(fprev)
-        k = 1
-        while k <= prev_levels:
-            t = (fprev[k - 1] << 1) & eq_mask
+        for level in self._f[self.pos % self.cap]:
+            t = (level << 1) & eq_mask
             if not t:
                 break
             chain.append(t)
-            k += 1
+        return self._close(chain, eq_mask)
+
+    def _close(self, chain: list[int], eq_mask: int) -> bool:
+        """Store column pos+1 given its F-chain and the mask {i : x[i] =
+        y[pos+1]}: derive its P set by conditions (a) and (b), put both in
+        the ring and return whether the full pattern matches there.
+
+        Both engines end every column here; they differ only in where
+        ``chain`` comes from.
+        """
+        j = self.pos + 1
+        cap = self.cap
+        m = self.m
+        fcols = self._f
+        plist = self._p
 
         # condition (a): extend every prefix matched at j-1 by one symbol
         p = 1 | ((plist[(j - 1) % cap] << 1) & eq_mask)
@@ -79,21 +87,20 @@ class DpColumns:
         # position i0+h carries a length-h suffix of y_j and position
         # i0+h+k a length-k suffix of y_{j-h}.  Pairs with h+k > m cannot
         # produce i <= m and would reach outside the ring; skip them.
-        lj = len(chain) - 1
-        for h in range(1, lj + 1):
+        for h in range(1, len(chain)):
             fh = chain[h]
             jh = j - h
-            fcol = self._f[jh % cap]
+            fcol = fcols[jh % cap]
             kend = m - h + 1  # k <= l_{j-h} and h+k <= m; min() costs a call per h
             if len(fcol) < kend:
                 kend = len(fcol)
-            for kk in range(1, kend):
-                add = (((plist[(jh - kk) % cap] << h) & fh) << kk) & fcol[kk]
+            for k in range(1, kend):
+                add = (((plist[(jh - k) % cap] << h) & fh) << k) & fcol[k]
                 if add:
                     p |= add
 
-        self._f[j % cap] = chain
-        self._p[j % cap] = p
+        fcols[j % cap] = chain
+        plist[j % cap] = p
         self.pos = j
         return (p >> m) & 1 == 1
 

@@ -1,10 +1,11 @@
+import copy
 import random
 
 import pytest
 
 from translocsearch.automaton import OpCounter, SearchState, automaton_search
-from translocsearch.dawg import ROOT, advance_with_hops, build_dawg
-from translocsearch.dp import dp_search
+from translocsearch.dawg import ROOT, Dawg, advance_with_hops, build_dawg
+from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import naive_search
 from translocsearch.seqcore import encode, infer_alphabet
 
@@ -99,6 +100,28 @@ class TestStep:
             )
             assert all(b >= a for a, b in zip(last, now))
             last = now
+
+
+class TestTallyGuard:
+    """tally reads a ring of running sums that must start at the first
+    column, so it refuses to count a stream it did not follow from there."""
+
+    def test_refuses_before_any_step(self):
+        state = SearchState(encode_pair("abc", "")[0])
+        counter = OpCounter()
+        with pytest.raises(RuntimeError, match="every step from the first"):
+            state.tally(counter)
+        assert counter == OpCounter()
+
+    def test_refuses_after_untallied_steps(self):
+        pat, txt = encode_pair("abc", "abcab")
+        state = SearchState(pat)
+        for code in txt.codes[:2]:
+            state.step(code)
+        counter = OpCounter()
+        with pytest.raises(RuntimeError, match="every step from the first"):
+            state.tally(counter)
+        assert counter == OpCounter()
 
 
 class TestFactorEndSets:
@@ -266,3 +289,56 @@ def test_opcounter_starts_at_zero():
         c.endpos_queries,
         c.insertions,
     ) == (0, 0, 0, 0, 0)
+
+
+def lockstep_cases(kind: str) -> list[tuple[str, str]]:
+    """(pattern, text) pairs of one text kind, m <= 24."""
+    rng = random.Random(131)
+    if kind.startswith("random"):
+        sigma = int(kind[-1])
+        return [
+            (rand_str(rng, sigma, m), rand_str(rng, sigma, rng.randint(m, 150)))
+            for m in (1, 3, 8, 16, 24)
+            for _ in range(3)
+        ]
+    cases = []
+    for m in (1, 2, 7, 16, 24):
+        block = {"unary": "a", "period-2": "ab", "A^(m-1)B": "a" * (m - 1) + "b"}[kind]
+        text = block * (5 * m + 3)
+        cases.append((text[:m], text[1 : 5 * m + 1]))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["random-2", "random-4", "unary", "period-2", "A^(m-1)B"])
+def test_engines_differ_only_in_the_chain_source(kind):
+    """dp builds column j's chain from column j-1's and dawg reads it off the
+    automaton; both then close the column with the same loop.  Stepped side
+    by side, they return the same bit and leave the same F and P columns."""
+    for x, y in lockstep_cases(kind):
+        pat, txt = encode_pair(x, y)
+        masks = pat.symbol_masks()
+        cols, state = DpColumns(pat.length), SearchState(pat)
+        for j, code in enumerate(txt.codes, start=1):
+            assert cols.push(masks.get(code, 0)) == state.step(code), (x, y, j)
+            slot = j % cols.cap
+            assert cols._f[slot] == state._f[slot], (x, y, j)
+            assert cols._p[slot] == state._p[slot], (x, y, j)
+
+
+def test_searches_leave_a_shared_dawg_unchanged():
+    """match_ends hands one Dawg to every engine run of a call; a search
+    must not change it, and a search through a used one must give the same
+    hits and counters as a search that builds its own."""
+    rng = random.Random(149)
+    x = rand_str(rng, 2, 12)
+    first = rand_str(rng, 2, 300)
+    second = rand_str(rng, 2, 150) + x[5:] + x[:5] + ("ab" * 80)
+    pat, txt1 = encode_pair(x, first)
+    txt2 = encode_pair(x, second)[1]
+    d = build_dawg(pat)
+    before = [copy.deepcopy(getattr(d, name)) for name in Dawg.__slots__]
+    automaton_search(pat, txt1, d)
+    ends, counter = automaton_search(pat, txt2, d)
+    assert [getattr(d, name) for name in Dawg.__slots__] == before
+    assert ends
+    assert (ends, counter) == automaton_search(pat, txt2)
