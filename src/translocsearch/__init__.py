@@ -130,9 +130,10 @@ def _pieces(
     windows cost less than r * B plus the work of the last one.  The
     run's hits are its offset plus the hits of an engine started fresh
     on it: a hit at position j depends only on the window ending at j.
-    A run may continue across chunks, one piece per chunk; each piece is
-    encoded only when it is reached, and the last m-1 symbols of the
-    text are kept for the windows that end in the next chunk.
+    Images and pieces are yielded as the scan reaches them: a run's piece
+    of a chunk is handed over when the next cluster opens or the chunk
+    ends, and is encoded only then.  The last m-1 symbols of the text are
+    kept for the windows that end in the next chunk.
     """
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
@@ -143,42 +144,42 @@ def _pieces(
     tail = ""  # the last m-1 symbols before the chunk
     total = 0  # their weight
     seen = 0  # symbols before the chunk
-    run = fed = -1  # the open run's offset, and the position after its last symbol
+    run = fed = end = -1  # the open run: offset, end handed over, end of last window
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     for chunk in chunks:
         text = tail + chunk
         offset = seen - len(tail)  # symbols before text[0]
-        found: list[list] = []  # [k, None] for an image, [a, b] for a run's span
         total += sum(map(weight, map(ord, text[len(tail) : m - 1]), repeat(0)))
         for k, (out, new) in enumerate(zip(map(ord, text), map(ord, text[m - 1 :]))):
             total += weight(new, 0)
             if total == target:
-                if offset + k >= last + m:  # the window opens a cluster
+                pos = offset + k
+                if pos >= last + m:  # the window opens a cluster
                     left = budget
-                last = offset + k
+                    if fed < end:  # hand over the run before what follows it
+                        yield run, iter(
+                            encode(text[fed - offset : end - offset], alphabet).codes
+                        )
+                        fed = end
+                last = pos
                 if left > 0:
                     image, work = _is_image(pattern, text[k : k + m])
                     left += budget - work
                     if image:
-                        found.append([k, None])
-                elif found and (found[-1][1] or 0) > k:  # the previous window is the span's
-                    found[-1][1] = k + m
+                        yield pos, None
                 else:
-                    found.append([k, k + m])
+                    if pos > end:  # the window does not continue the open run
+                        run = fed = pos
+                    end = pos + m
             total -= weight(out, 0)
         seen += len(chunk)
         tail = text[max(0, len(text) - m + 1) :]
-        for a, b in found:
-            if b is None:
-                yield offset + a, None
-                continue
-            if offset + a > fed:  # the span does not continue the open run
-                run = fed = offset + a
+        if fed < end:
             # an exhausted tuple iterator drops its tuple, so a finished
             # piece is freed while the next chunk is read and scanned
-            yield run, iter(encode(text[fed - offset : b], alphabet).codes)
-            fed = offset + b
+            yield run, iter(encode(text[fed - offset : end - offset], alphabet).codes)
+            fed = end
 
 
 def _is_image(pattern: str, window: str) -> tuple[bool, int]:
@@ -226,11 +227,12 @@ def _is_image(pattern: str, window: str) -> tuple[bool, int]:
                 e += 1
             work += e
             while s < q <= s + e:
+                # z = pattern[s:q] matches, as q-s <= e; the candidate still
+                # counts one unit, which the check budget was set against
                 work += 1
-                if window[p : p + q - s] == pattern[s:q]:
-                    if p + q - s == m:
-                        return True, work
-                    reach |= 1 << (p + q - s)
+                if p + q - s == m:
+                    return True, work
+                reach |= 1 << (p + q - s)
                 q = pattern.find(w, q + 1)
             p = window.find(first, p + 1)
         todo |= reach & ~done

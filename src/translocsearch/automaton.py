@@ -39,8 +39,8 @@ class OpCounter:
     delta_steps       improved-suffix-link hops while updating the scan
                       configuration
     suffix_hops       suffix-link hops taken while filling each column's
-                      chain: one walk down q_j's suffix path per column,
-                      at most l_j hops
+                      chain, one walk down q_j's suffix path: the levels
+                      1..l_j-1 that differ from the next, at most l_j - 1
     inner_iterations  prefix-set members examined by the innermost loop,
                       i.e. iterations of the (h, k, i) triple loop
     endpos_queries    (h, k) pairs visited, one word-wide end-position test
@@ -116,19 +116,15 @@ class SearchState(DpColumns):
         size = self._p[j % cap].bit_count()
         sums[j % ring] = sums[(j - 1) % ring] + size
 
-        d = self.dawg
-        link_len = d.link_len
-        suf = d.suf
-        u = self.scan_state
-        walk = 0
-        while link_len[u] > 0:  # the hops the step's countdown walk took
-            u = suf[u]
-            walk += 1
-
+        # the step's walk hops exactly where two adjacent levels of its chain
+        # differ: DAWG states other than the root have distinct masks
         fcols = self._f
+        chain = fcols[j % cap]
+        hops = sum(chain[h] != chain[h + 1] for h in range(1, len(chain) - 1))
+
         m = self.m
         pairs = members = 0
-        for h in range(1, len(fcols[j % cap])):
+        for h in range(1, len(chain)):
             jh = j - h
             kk = len(fcols[jh % cap]) - 1
             if kk > m - h:
@@ -137,7 +133,7 @@ class SearchState(DpColumns):
             members += sums[(jh - 1) % ring] - sums[(jh - 1 - kk) % ring]
 
         counter.delta_steps += self.hops
-        counter.suffix_hops += walk
+        counter.suffix_hops += hops
         counter.inner_iterations += members
         counter.endpos_queries += pairs
         counter.insertions += size - 1

@@ -101,6 +101,21 @@ class TestBuild:
             for q, length in longest.items():
                 assert d.lens[q] == length
 
+    def test_states_other_than_the_root_have_distinct_end_positions(self):
+        """`SearchState.tally` counts a suffix hop wherever two adjacent
+        levels of a chain differ, which needs this.  The root is left out:
+        on `aaaa` its mask equals that of the state for `a`."""
+        rng = random.Random(17)
+        patterns = ["a" * 40, "ab" * 20, "ba" * 19 + "b", "aaaa", "abababa"] + [
+            rand_str(rng, rng.choice([2, 3, 4]), rng.randint(1, 40)) for _ in range(300)
+        ]
+        for x in patterns:
+            d, _ = build_str(x)
+            masks = [mask for q, mask in enumerate(d.endpos) if q != ROOT]
+            assert len(set(masks)) == len(masks), x
+        d, a = build_str("aaaa")
+        assert d.endpos[ROOT] == d.endpos[state_of(d, a, "a")]
+
     def test_structural_bounds_random(self):
         rng = random.Random(5)
         for _ in range(15):

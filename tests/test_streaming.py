@@ -174,6 +174,10 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
 @example(case=("abcabc", "cab", [1]))  # m > n
 @example(case=("ab", "NNNN", [2]))  # sentinel only
 @example(case=("aaaa", "a" * 9, [3, 5]))  # unary: a count reaches m, no digit carries
+# by default a run closes its cluster, and a later cluster's checked image
+# follows it (hits 5-20 and 30): in one chunk, and cut between the two
+@example(case=("aaaab", "aaaab" * 4 + "NNNNN" + "baaaa", []))
+@example(case=("aaaab", "aaaab" * 4 + "NNNNN" + "baaaa", [22]))
 def test_filtered_engines_match_naive_and_unfiltered(case):
     pattern, text, cuts = case
     expected = naive_search(*encode_pair(pattern, text))
