@@ -143,13 +143,12 @@ def _pieces(
     target = sum(map(weight, map(ord, pattern)))
     tail = ""  # the last m-1 symbols before the chunk
     total = 0  # their weight
-    seen = 0  # symbols before the chunk
+    offset = 0  # symbols before text[0]
     run = fed = end = -1  # the open run: offset, end handed over, end of last window
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     for chunk in chunks:
         text = tail + chunk
-        offset = seen - len(tail)  # symbols before text[0]
         total += sum(map(weight, map(ord, text[len(tail) : m - 1]), repeat(0)))
         for k, (out, new) in enumerate(zip(map(ord, text), map(ord, text[m - 1 :]))):
             total += weight(new, 0)
@@ -173,13 +172,13 @@ def _pieces(
                         run = fed = pos
                     end = pos + m
             total -= weight(out, 0)
-        seen += len(chunk)
         tail = text[max(0, len(text) - m + 1) :]
         if fed < end:
             # an exhausted tuple iterator drops its tuple, so a finished
             # piece is freed while the next chunk is read and scanned
             yield run, iter(encode(text[fed - offset : end - offset], alphabet).codes)
             fed = end
+        offset += len(text) - len(tail)
 
 
 def _is_image(pattern: str, window: str) -> tuple[bool, int]:

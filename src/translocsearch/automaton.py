@@ -65,7 +65,6 @@ class SearchState(DpColumns):
     def __init__(self, pattern: Sequence, dawg: Dawg | None = None):
         super().__init__(pattern.length)
         self.dawg = dawg if dawg is not None else build_dawg(pattern)
-        self.ext_masks = pattern.symbol_masks()
         self.scan_state = ROOT
         self.scan_length = 0
         self.hops = 0  # improved-link hops of the last advance
@@ -94,7 +93,7 @@ class SearchState(DpColumns):
             if link_len[u] == h:
                 u = suf[u]
             chain[h] = endpos[u]
-        return self._close(chain, self.ext_masks.get(code, 0))
+        return self._close(chain)
 
     def tally(self, counter: OpCounter) -> None:
         """Add the work of the last step to ``counter``, at O(l_j) cost.

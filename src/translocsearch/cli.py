@@ -19,7 +19,7 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -100,22 +100,6 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
         yield FastaRecord(tokens[0], (chunk for chunk in chunks if chunk))
 
 
-def read_chunks(fh: TextIO) -> Iterator[str]:
-    """The text of ``fh`` in pieces of at most CHUNK_CHARS characters,
-    without its trailing newlines, as ``fh.read().rstrip("\\n")`` would
-    give it; interior newlines stay in the text."""
-    held = 0  # newlines at the end of what was read; dropped if nothing follows
-    for chunk in iter(lambda: fh.read(CHUNK_CHARS), ""):
-        body = chunk.rstrip("\n")
-        if body:
-            while held > 0:
-                yield "\n" * min(held, CHUNK_CHARS)
-                held -= CHUNK_CHARS
-            yield body
-            held = 0
-        held += len(chunk) - len(body)
-
-
 def _load_pattern(args: argparse.Namespace) -> str:
     if args.pattern is not None:
         return args.pattern
@@ -129,10 +113,10 @@ def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
     if args.text is not None:
         yield [FastaRecord("stdin", (args.text,))]
     elif args.text_file == "-":
-        yield [FastaRecord("stdin", read_chunks(sys.stdin))]
+        yield [FastaRecord("stdin", iter(partial(sys.stdin.read, CHUNK_CHARS), ""))]
     elif args.text_file is not None:
         with _open_text(args.text_file) as fh:
-            yield [FastaRecord(args.text_file, read_chunks(fh))]
+            yield [FastaRecord(args.text_file, iter(partial(fh.read, CHUNK_CHARS), ""))]
     else:
         with _open_text(args.fasta) as fh:
             yield parse_fasta(fh)
@@ -160,6 +144,10 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     pattern_raw = _load_pattern(args).upper()
     if not pattern_raw:
         raise ValueError("empty pattern")
+    # text files are read with their newlines, so a pattern without one
+    # cannot match in a window that holds one, such as a file's last line end
+    if "\n" in pattern_raw:
+        raise ValueError("pattern may not contain a line break")
 
     matches = []
     with _open_records(args) as records:

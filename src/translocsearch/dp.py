@@ -64,12 +64,12 @@ class DpColumns:
             if not t:
                 break
             chain.append(t)
-        return self._close(chain, eq_mask)
+        return self._close(chain)
 
-    def _close(self, chain: list[int], eq_mask: int) -> bool:
-        """Store column pos+1 given its F-chain and the mask {i : x[i] =
-        y[pos+1]}: derive its P set by conditions (a) and (b), put both in
-        the ring and return whether the full pattern matches there.
+    def _close(self, chain: list[int]) -> bool:
+        """Store column pos+1 given its F-chain: derive its P set by
+        conditions (a) and (b), put both in the ring and return whether the
+        full pattern matches there.
 
         Both engines end every column here; they differ only in where
         ``chain`` comes from.
@@ -80,8 +80,11 @@ class DpColumns:
         fcols = self._f
         plist = self._p
 
-        # condition (a): extend every prefix matched at j-1 by one symbol
-        p = 1 | ((plist[(j - 1) % cap] << 1) & eq_mask)
+        # condition (a): extend every prefix matched at j-1 by one symbol;
+        # level 1 of the chain is {i : x[i] = y[j]}, absent when it is empty
+        p = 1
+        if len(chain) > 1:
+            p |= (plist[(j - 1) % cap] << 1) & chain[1]
 
         # condition (b): a bit of P[j-h-k] at i0 lands at i = i0+h+k when
         # position i0+h carries a length-h suffix of y_j and position

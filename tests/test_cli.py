@@ -119,6 +119,21 @@ class TestSearchCommand:
     def test_empty_pattern_fails(self, capsys):
         assert main(["search", "--pattern", "", "--text", "abc"]) == 2
 
+    @pytest.mark.parametrize("source", ["--pattern", "--pattern-file"])
+    def test_pattern_with_a_line_break_fails(self, tmp_path, capsys, source):
+        # a line break would never match in FASTA, whose lines lose theirs
+        fasta = tmp_path / "r.fa"
+        fasta.write_text(">r\nACGTTTGA\nCCACGT\nTTGA\n")
+        pattern = "ACGT\nTTGA"
+        if source == "--pattern-file":
+            path = tmp_path / "pat.txt"
+            path.write_text(pattern + "\n")
+            pattern = str(path)
+        assert main(["search", source, pattern, "--fasta", str(fasta)]) == 2
+        assert capsys.readouterr() == (
+            "", "utd: error: pattern may not contain a line break\n"
+        )
+
     def test_naive_engine_limit(self, capsys):
         long_pattern = "abcdefghijklm"
         code = main(

@@ -490,11 +490,49 @@ def test_truncated_gzip_exits_2_with_a_message(tmp_path, capsys, source):
     "content",
     ["", "\n", "\n" * 9, "ab" + "\n" * 9 + "cd\n\n", "abcdefghij", "a\nb\nc"],
 )
-def test_read_chunks_drops_only_trailing_newlines(monkeypatch, content):
+def test_text_file_trailing_newlines_end_no_match(tmp_path, monkeypatch, content):
+    """A text file or stdin is searched as it is, newlines included, here in
+    3-character chunks; as a pattern holds no newline, the output equals a
+    search of the text without its trailing newlines."""
     monkeypatch.setattr(cli, "CHUNK_CHARS", 3)
-    chunks = list(cli.read_chunks(io.StringIO(content)))
-    assert "".join(chunks) == content.rstrip("\n")
-    assert all(0 < len(chunk) <= 3 for chunk in chunks)
+    path = tmp_path / "text.txt"
+    path.write_text(content)
+    for pattern in ("A", "C", "AB", "BA", "CD", "ABCDE", "HIJ"):
+        for algo in ENGINES:
+            argv = ["--pattern", pattern, "--algo", algo]
+            expected = run_search([*argv, "--text", content.rstrip("\n")])
+            monkeypatch.setattr("sys.stdin", io.StringIO(content))
+            assert run_search([*argv, "--text-file", "-"]) == expected, (pattern, algo)
+            from_file = run_search([*argv, "--text-file", str(path)])
+            assert from_file == expected.replace("stdin\t", f"{path}\t"), (pattern, algo)
+
+
+def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
+    """One record whose candidate windows exhaust the check budget, so an
+    engine steps over runs that span many sequence lines; every engine and
+    line width gives the same 110 hits, and the runs do not depend on the
+    width."""
+    seq = ("A" * 11 + "C") * 6 + "G" + ("A" * 11 + "C") * 5
+    real = translocsearch.dp_search
+    runs = []
+
+    def spy(pattern, text):
+        codes = list(text)
+        runs[-1].append(len(codes))
+        return real(pattern, codes)
+
+    monkeypatch.setattr(translocsearch, "dp_search", spy)
+    outputs = set()
+    for width in (1, 5, 60):
+        fasta = tmp_path / f"{width}.fa"
+        lines = (seq[p : p + width] + "\n" for p in range(0, len(seq), width))
+        fasta.write_text(">r\n" + "".join(lines))
+        runs.append([])
+        for algo in ENGINES:
+            argv = ["--pattern", "A" * 11 + "C", "--fasta", str(fasta), "--algo", algo]
+            outputs.add(run_search(argv))
+    assert len(outputs) == 1 and outputs.pop().count("\n") == 110
+    assert runs[0] and runs[0] == runs[1] == runs[2] and max(runs[0]) > 60, runs
 
 
 @pytest.mark.parametrize("fmt, stdout", [("tsv", "r1\t7\nr2\t7\n"), ("json", "")])
