@@ -65,35 +65,39 @@ def match_ends(
 
     Chunks are read one at a time, so memory grows with the largest chunk,
     not with the text.  ``dp`` and ``dawg`` run only on the runs of text
-    that :func:`_pieces` passes, each run from a fresh start, with the
-    DAWG built when the first run starts; the windows it checked on their
-    own are hits without an engine.  ``naive`` sees the whole text, so it
-    checks the filter and the window check too; it refuses patterns longer
-    than :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
+    that :func:`_pieces` passes, each run from a fresh start, and the
+    windows it checked on their own are hits without an engine.  The
+    pattern and the runs are encoded, and the DAWG built, only once the
+    first run starts.  ``naive`` sees the whole text, so it checks the
+    filter and the window check too; it refuses patterns longer than
+    :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
     """
     if not pattern:
         raise ValueError("empty pattern")
-    alphabet = infer_alphabet(pattern)
-    pat = encode(pattern, alphabet)
     chunks = (text,) if isinstance(text, str) else text
     if algo == "naive":
+        alphabet = infer_alphabet(pattern)
         txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
-        return naive_search(pat, txt)
+        return naive_search(encode(pattern, alphabet), txt)
     if algo not in ("dp", "dawg"):
         raise ValueError(f"unknown algorithm {algo!r}")
+    m = len(pattern)
     hits = []
-    d = None
-    for start, pieces in groupby(_pieces(pattern, alphabet, chunks), itemgetter(0)):
-        codes = next(pieces)[1]
-        if codes is None:  # a window checked on its own: an image
-            hits.append(start + pat.length)
+    pat = d = None
+    for start, pieces in groupby(_pieces(pattern, chunks), itemgetter(0)):
+        first = next(pieces)[1]
+        if first is None:  # a window checked on its own: an image
+            hits.append(start + m)
             continue
-        run = chain(codes, chain.from_iterable(map(itemgetter(1), pieces)))
+        if pat is None:  # the first run
+            alphabet = infer_alphabet(pattern)
+            pat = encode(pattern, alphabet)
+            d = build_dawg(pat) if algo == "dawg" else None
+        symbols = chain((first,), map(itemgetter(1), pieces))
+        run = chain.from_iterable(encode(s, alphabet).codes for s in symbols)
         if algo == "dp":
             ends = dp_search(pat, run)
         else:
-            if d is None:
-                d = build_dawg(pat)
             ends, _ = automaton_search(pat, run, d, count=False)
         hits.extend(start + j for j in ends)
     return hits
@@ -107,13 +111,11 @@ def match_ends(
 CHECK_BUDGET = 0.25
 
 
-def _pieces(
-    pattern: str, alphabet: Alphabet, chunks: Iterable[str]
-) -> Iterator[tuple[int, Iterator[int] | None]]:
+def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | None]]:
     """What is left of the text once windows that cannot match are
     skipped, in text order: (k, None) for a window of m symbols at text
     position k that :func:`_is_image` found to be an image, and (run
-    offset, codes) pieces of the runs an engine must step over.
+    offset, symbols) pieces of the runs an engine must step over.
 
     Only windows whose symbol counts equal the pattern's can match.
     Pattern symbol c weighs (m+1)^c and any other symbol 0, so a window's
@@ -130,21 +132,21 @@ def _pieces(
     windows cost less than r * B plus the work of the last one.  The
     run's hits are its offset plus the hits of an engine started fresh
     on it: a hit at position j depends only on the window ending at j.
-    Images and pieces are yielded as the scan reaches them: a run's piece
-    of a chunk is handed over when the next cluster opens or the chunk
-    ends, and is encoded only then.  The last m-1 symbols of the text are
-    kept for the windows that end in the next chunk.
+    Images and pieces are yielded as the scan reaches them: a window left
+    to an engine passes on the symbols it adds past the end of its run, or
+    all of its symbols when it starts a run.  The last m-1 symbols of the
+    text are kept for the windows that end in the next chunk.
     """
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
     # keyed by code point: int hashes, unlike str hashes, are the same in
     # every process, and so is the cost of a lookup
-    weight = {ord(s): (m + 1) ** c for c, s in enumerate(alphabet.symbols)}.get
+    weight = {ord(s): (m + 1) ** c for c, s in enumerate(dict.fromkeys(pattern))}.get
     target = sum(map(weight, map(ord, pattern)))
     tail = ""  # the last m-1 symbols before the chunk
     total = 0  # their weight
     offset = 0  # symbols before text[0]
-    run = fed = end = -1  # the open run: offset, end handed over, end of last window
+    run = end = -1  # the open run: offset, and end of its last window
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     for chunk in chunks:
@@ -156,11 +158,6 @@ def _pieces(
                 pos = offset + k
                 if pos >= last + m:  # the window opens a cluster
                     left = budget
-                    if fed < end:  # hand over the run before what follows it
-                        yield run, iter(
-                            encode(text[fed - offset : end - offset], alphabet).codes
-                        )
-                        fed = end
                 last = pos
                 if left > 0:
                     image, work = _is_image(pattern, text[k : k + m])
@@ -169,15 +166,11 @@ def _pieces(
                         yield pos, None
                 else:
                     if pos > end:  # the window does not continue the open run
-                        run = fed = pos
+                        run = end = pos
+                    yield run, text[k + end - pos : k + m]
                     end = pos + m
             total -= weight(out, 0)
         tail = text[max(0, len(text) - m + 1) :]
-        if fed < end:
-            # an exhausted tuple iterator drops its tuple, so a finished
-            # piece is freed while the next chunk is read and scanned
-            yield run, iter(encode(text[fed - offset : end - offset], alphabet).codes)
-            fed = end
         offset += len(text) - len(tail)
 
 

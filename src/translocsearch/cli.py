@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import re
 import sys
@@ -273,6 +274,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "search":
             return cmd_search(args, sys.stdout)
         return cmd_bench(args, sys.stdout)
+    except BrokenPipeError:
+        # the reader closed stdout (`utd search ... | head`), no malformed input;
+        # buffered output goes to devnull so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # a truncated .gz file raises EOFError, a corrupt one zlib.error
     except (OSError, ValueError, EOFError, zlib.error) as exc:
         print(f"utd: error: {exc}", file=sys.stderr)

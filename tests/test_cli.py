@@ -243,6 +243,27 @@ def cold_import_loads(module: str) -> bool:
     return done.stdout.strip() == "True"
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_closed_stdout_ends_the_search_quietly(tmp_path, fmt):
+    """A reader that stops early (`utd search ... | head`) is no error: exit
+    1, as in the Python documentation's handling of SIGPIPE, and nothing
+    on stderr."""
+    text = tmp_path / "t.txt"
+    text.write_text("A" * 200_000)  # megabytes of hits, far more than a pipe holds
+    src = str(Path(translocsearch.__file__).resolve().parents[1])
+    argv = ["search", "--pattern", "AAAA", "--text-file", str(text), "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "translocsearch.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(64)  # a JSON array is one line of megabytes
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
 def test_importing_cli_leaves_numpy_unloaded():
     assert not cold_import_loads("numpy")
 

@@ -195,12 +195,13 @@ def test_filter_with_multi_word_weights(case):
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
-def candidate_symbols(pattern: str, text: str, budget: float) -> int:
-    """Text positions the engines must step over, by brute force: windows
-    whose symbol counts equal the pattern's, taken in order.  The r-th
-    window of a cluster of overlapping ones is checked on its own if every
-    window before it was and their check work is below r * budget * m^2;
-    otherwise it covers its symbols."""
+def candidate_symbols(pattern: str, text: str, budget: float) -> tuple[int, int]:
+    """Text positions the engines must step over, by brute force, and the
+    number of maximal stretches of consecutive ones, one engine run each:
+    windows whose symbol counts equal the pattern's, taken in order.  The
+    r-th window of a cluster of overlapping ones is checked on its own if
+    every window before it was and their check work is below
+    r * budget * m^2; otherwise it covers its symbols."""
     m, counts = len(pattern), Counter(pattern)
     covered, last = set(), -m
     for k in range(len(text) - m + 1):
@@ -215,7 +216,7 @@ def candidate_symbols(pattern: str, text: str, budget: float) -> int:
             spent += translocsearch._is_image(pattern, text[k : k + m])[1]
         else:
             covered.update(range(k, k + m))
-    return len(covered)
+    return len(covered), sum(p - 1 not in covered for p in covered)
 
 
 def count_calls(mp: pytest.MonkeyPatch, calls: Counter, owner, name: str, key: str):
@@ -238,20 +239,24 @@ def count_calls(mp: pytest.MonkeyPatch, calls: Counter, owner, name: str, key: s
 def test_engines_step_once_per_symbol_of_a_candidate_window(case):
     """Under every budget in BUDGETS, each engine steps exactly over the
     windows the filter and the check budget leave to it: no other symbol,
-    and none twice.  The DAWG is built once, and only when some window is
-    left to an engine."""
+    and none twice, in one run per stretch of consecutive symbols, however
+    the chunks cut it.  The DAWG is built once, and only when some window
+    is left to an engine."""
     pattern, text, cuts = case
     for budget in BUDGETS:
-        union = candidate_symbols(pattern, text, budget)
+        union, runs = candidate_symbols(pattern, text, budget)
         calls = Counter()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
             count_calls(mp, calls, DpColumns, "push", "dp")
             count_calls(mp, calls, SearchState, "step", "dawg")
+            count_calls(mp, calls, translocsearch, "dp_search", "dp runs")
+            count_calls(mp, calls, translocsearch, "automaton_search", "dawg runs")
             count_calls(mp, calls, translocsearch, "build_dawg", "build")
             for algo in ("dp", "dawg"):
                 match_ends(pattern, iter(split(text, cuts)), algo)
         assert calls["dp"] == calls["dawg"] == union, budget
+        assert calls["dp runs"] == calls["dawg runs"] == runs, budget
         assert calls["build"] == (union > 0), budget
 
 
@@ -347,16 +352,25 @@ def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
 
 
 def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):
+    """Nothing is encoded and no engine runs where the filter and the window
+    checks decide every window: none passes the filter, or each one that
+    does is checked on its own."""
+    checked = ("ab" * 16, ["ab" * 50, "ab" * 50])  # period 2: cheap checks
+    checked_ends = dp_search(*encode_pair(checked[0], "".join(checked[1])))
+
     def refuse(*args):
-        raise AssertionError("an engine ran where no window can match")
+        raise AssertionError("encoded or ran an engine where no window needs one")
 
     monkeypatch.setattr(SearchState, "step", refuse)
     monkeypatch.setattr(DpColumns, "push", refuse)
     monkeypatch.setattr(translocsearch, "build_dawg", refuse)
+    monkeypatch.setattr(translocsearch, "encode", refuse)
+    monkeypatch.setattr(translocsearch, "infer_alphabet", refuse)
     text = "GATTAGA" * 1000  # every window lacks the pattern's C
     for algo in ("dp", "dawg"):
         assert match_ends("GATTACA", text, algo) == []
         assert match_ends("GATTACA", split(text, list(range(0, len(text), 60))), algo) == []
+        assert match_ends(*checked, algo) == checked_ends
 
 
 def test_naive_and_bench_bypass_the_filter(monkeypatch):
