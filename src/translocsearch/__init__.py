@@ -67,10 +67,11 @@ def match_ends(
     not with the text.  ``dp`` and ``dawg`` run only on the runs of text
     that :func:`_pieces` passes, each run from a fresh start, and the
     windows it checked on their own are hits without an engine.  The
-    pattern and the runs are encoded, and the DAWG built, only once the
-    first run starts.  ``naive`` sees the whole text, so it checks the
-    filter and the window check too; it refuses patterns longer than
-    :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
+    pattern is encoded, and the DAWG and one code lookup for the runs'
+    symbols built, only once the first run starts.  ``naive`` sees the
+    whole text, so it checks the filter and the window check too; it
+    refuses patterns longer than :data:`translocsearch.oracle.NAIVE_LIMIT`
+    (12).
     """
     if not pattern:
         raise ValueError("empty pattern")
@@ -92,9 +93,10 @@ def match_ends(
         if pat is None:  # the first run
             alphabet = infer_alphabet(pattern)
             pat = encode(pattern, alphabet)
+            code = dict(zip(pattern, pat.codes)).get
             d = build_dawg(pat) if algo == "dawg" else None
-        symbols = chain((first,), map(itemgetter(1), pieces))
-        run = chain.from_iterable(encode(s, alphabet).codes for s in symbols)
+        symbols = chain.from_iterable(chain((first,), map(itemgetter(1), pieces)))
+        run = map(code, symbols, repeat(alphabet.sentinel))
         if algo == "dp":
             ends = dp_search(pat, run)
         else:
@@ -132,6 +134,10 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     windows cost less than r * B plus the work of the last one.  The
     run's hits are its offset plus the hits of an engine started fresh
     on it: a hit at position j depends only on the window ending at j.
+    The cluster keeps the verdicts of its last m distinct checked
+    windows, which covers every period up to m in O(m^2) memory; a
+    window found there is not checked again but charged the work stored
+    with its verdict, so the budget decides exactly as if it had been.
     Images and pieces are yielded as the scan reaches them: a window left
     to an engine passes on the symbols it adds past the end of its run, or
     all of its symbols when it starts a run.  The last m-1 symbols of the
@@ -149,6 +155,7 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     run = end = -1  # the open run: offset, and end of its last window
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
+    seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
     for chunk in chunks:
         text = tail + chunk
         total += sum(map(weight, map(ord, text[len(tail) : m - 1]), repeat(0)))
@@ -158,9 +165,15 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
                 pos = offset + k
                 if pos >= last + m:  # the window opens a cluster
                     left = budget
+                    seen.clear()
                 last = pos
                 if left > 0:
-                    image, work = _is_image(pattern, text[k : k + m])
+                    window = text[k : k + m]
+                    if window not in seen:
+                        if len(seen) == m:
+                            del seen[next(iter(seen))]
+                        seen[window] = _is_image(pattern, window)
+                    image, work = seen[window]
                     left += budget - work
                     if image:
                         yield pos, None

@@ -296,6 +296,102 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
         assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 1}[kind]
 
 
+def first_in_cluster(pattern: str, text: str) -> list[str]:
+    """Reference: the windows with the pattern's symbol counts, each taken
+    where it first occurs in its cluster of overlapping ones, in text
+    order."""
+    m, counts = len(pattern), Counter(pattern)
+    first, last = [], -m
+    for k in range(len(text) - m + 1):
+        window = text[k : k + m]
+        if Counter(window) != counts:
+            continue
+        if k >= last + m:
+            seen = set()
+        last = k
+        if window not in seen:
+            seen.add(window)
+            first.append(window)
+    return first
+
+
+@st.composite
+def periodic_clusters(draw):
+    """(pattern, text, cuts): a unary or period-2 pattern of even length
+    6-16, whose windows are checked in fewer units than the budget adds,
+    and text of stretches with its period separated by N runs, so that
+    each stretch is a cluster of its own and repeats the windows of the
+    stretches before it."""
+    m = 2 * draw(st.integers(3, 8))
+    unit = draw(st.sampled_from(("a", "ab")))
+    pattern = (unit * m)[:m]
+    stretches = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3 * m)), max_size=4))
+    gaps = draw(st.lists(st.integers(1, m + 1), min_size=len(stretches), max_size=len(stretches)))
+    text = "".join(
+        (unit * (n + 2))[phase % len(unit) :][:n] + "N" * gap
+        for (phase, n), gap in zip(stretches, gaps)
+    )
+    cuts = draw(st.lists(st.integers(0, len(text)), max_size=8))
+    return pattern, text, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=periodic_clusters())
+@example(case=("ab" * 4, "ab" * 10 + "N" + "ab" * 10, [3, 11, 22]))  # one window back after a break
+@example(case=("a" * 6, "a" * 20 + "N" * 7 + "a" * 6, list(range(34))))  # one-symbol chunks
+def test_window_checks_see_each_window_of_a_cluster_once(case):
+    """On unary and period-2 text, however the chunks cut it, `_is_image`
+    sees each distinct candidate window of a cluster once, where it first
+    occurs, and a window that comes back after a cluster break once more;
+    the hits stay those of the unfiltered engine."""
+    pattern, text, cuts = case
+    expected = dp_search(*encode_pair(pattern, text))
+    check = translocsearch._is_image
+    for algo in ("dp", "dawg"):
+        windows = []
+
+        def recorded(pattern, window):
+            windows.append(window)
+            return check(pattern, window)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(translocsearch, "_is_image", recorded)
+            assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
+        assert windows == first_in_cluster(pattern, text), algo
+
+
+def test_window_memory_is_flat_in_cluster_length():
+    """One cluster of overlapping candidate windows, pairwise distinct: the
+    pattern holds 8 of each of ACGT (m = 32), and the text is random
+    half-blocks of 4 of each, so every window starting at a block boundary
+    is a candidate and the next one starts 16 symbols on.  The checks
+    decide every window, and the verdicts kept for the cluster hold at
+    most m windows, so peak traced memory does not grow with the cluster:
+    from 1e3 to 3e4 symbols by less than 8 KB."""
+    rng = random.Random(18)
+    pattern = "".join(rng.sample("ACGT" * 8, 32))
+
+    def half_blocks(n: int):
+        block = list("ACGT" * 4)
+        for _ in range(n // 16):
+            rng.shuffle(block)
+            yield "".join(block)
+
+    def peak(n: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pieces = translocsearch._pieces(pattern, half_blocks(n))
+            assert all(piece is None for _, piece in pieces)  # no engine run
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # warm-up
+    small, large = peak(1_000), peak(30_000)
+    assert large - small < 8 * 1024, (small, large)
+
+
 @st.composite
 def image_cases(draw):
     """(pattern, window): an image or another permutation of the pattern,
@@ -547,6 +643,32 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
             outputs.add(run_search(argv))
     assert len(outputs) == 1 and outputs.pop().count("\n") == 110
     assert runs[0] and runs[0] == runs[1] == runs[2] and max(runs[0]) > 60, runs
+
+
+def test_search_encodes_only_the_pattern(tmp_path, monkeypatch):
+    """A search whose runs start hundreds of pieces, one per line of a FASTA
+    file at line width 1, calls `encode` once, for the pattern: the runs'
+    symbols are mapped through one code lookup per search."""
+    pattern = "A" * 11 + "C"
+    seq = (pattern * 6 + "G" + pattern * 5).lower()
+    fasta = tmp_path / "width-1.fa"
+    fasta.write_text(">r\n" + "".join(symbol + "\n" for symbol in seq))
+    real = translocsearch.encode
+    encoded = []
+
+    def spy(raw, alphabet):
+        encoded.append(raw)
+        return real(raw, alphabet)
+
+    monkeypatch.setattr(translocsearch, "encode", spy)
+    calls = Counter()
+    count_calls(monkeypatch, calls, translocsearch, "dp_search", "dp")
+    count_calls(monkeypatch, calls, translocsearch, "automaton_search", "dawg")
+    for algo in ("dp", "dawg"):
+        encoded.clear()
+        out = run_search(["--pattern", pattern, "--fasta", str(fasta), "--algo", algo])
+        assert out.count("\n") == 110 and calls[algo] > 1, (algo, calls)
+        assert encoded == [pattern], algo
 
 
 @pytest.mark.parametrize("fmt, stdout", [("tsv", "r1\t7\nr2\t7\n"), ("json", "")])
