@@ -16,10 +16,13 @@ of 1-based match end positions, as :func:`match_ends` does.
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
-Such windows are checked one by one instead, without an engine, until
-the checks of a stretch of overlapping windows exceed a work budget of
-about m^2/4 per window; an engine runs over the rest of the stretch.
+Those windows are found a chunk at a time, with a few bytes and big-int
+operations per pattern symbol in place of a loop over the text.  They
+are checked one by one, without an engine, until the checks of a
+stretch of overlapping windows exceed a work budget of about m^2/4 per
+window; an engine runs over the rest of the stretch.
 """
+from collections import Counter
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -119,13 +122,13 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     position k that :func:`_is_image` found to be an image, and (run
     offset, symbols) pieces of the runs an engine must step over.
 
-    Only windows whose symbol counts equal the pattern's can match.
-    Pattern symbol c weighs (m+1)^c and any other symbol 0, so a window's
-    weight sum is its counts of pattern symbols written in base m+1.  No
-    count exceeds m, so no digit carries: the sum equals the pattern's
-    exactly when every count does, and then the window holds m pattern
-    symbols and no other.  The sum is kept over a sliding window, one
-    symbol in and one out per position.
+    Only windows whose symbol counts equal the pattern's can match; a
+    window with every pattern symbol's count right holds m pattern
+    symbols and no other.  :func:`_count_marks` finds them a chunk at a
+    time, in a few bytes and big-int operations per pattern symbol.
+    Symbols are coded by code point: in one byte, with ``?`` for any
+    symbol beyond latin-1, unless the pattern holds ``?`` or such a
+    symbol; then in four.
 
     Candidate windows that overlap form a cluster.  Its windows are
     checked one by one, the r-th only if the r-1 before it were and their
@@ -145,12 +148,11 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     """
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
-    # keyed by code point: int hashes, unlike str hashes, are the same in
-    # every process, and so is the cost of a lookup
-    weight = {ord(s): (m + 1) ** c for c, s in enumerate(dict.fromkeys(pattern))}.get
-    target = sum(map(weight, map(ord, pattern)))
+    counts = Counter(map(ord, pattern))  # code point -> count
+    # bytes per symbol code: 1 where any symbol beyond latin-1 can become
+    # "?", 4 (UTF-32) where the pattern holds "?" or such a symbol
+    width = 1 if max(counts) < 256 and 63 not in counts else 4
     tail = ""  # the last m-1 symbols before the chunk
-    total = 0  # their weight
     offset = 0  # symbols before text[0]
     run = end = -1  # the open run: offset, and end of its last window
     last = -m  # the last candidate window's position
@@ -158,33 +160,85 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
     for chunk in chunks:
         text = tail + chunk
-        total += sum(map(weight, map(ord, text[len(tail) : m - 1]), repeat(0)))
-        for k, (out, new) in enumerate(zip(map(ord, text), map(ord, text[m - 1 :]))):
-            total += weight(new, 0)
-            if total == target:
-                pos = offset + k
-                if pos >= last + m:  # the window opens a cluster
-                    left = budget
-                    seen.clear()
-                last = pos
-                if left > 0:
-                    window = text[k : k + m]
-                    if window not in seen:
-                        if len(seen) == m:
-                            del seen[next(iter(seen))]
-                        seen[window] = _is_image(pattern, window)
-                    image, work = seen[window]
-                    left += budget - work
-                    if image:
-                        yield pos, None
-                else:
-                    if pos > end:  # the window does not continue the open run
-                        run = end = pos
-                    yield run, text[k + end - pos : k + m]
-                    end = pos + m
-            total -= weight(out, 0)
+        marks = _count_marks(text, m, counts, width)
+        k = marks.find(1)
+        while k != -1:
+            pos = offset + k
+            if pos >= last + m:  # the window opens a cluster
+                left = budget
+                seen.clear()
+            last = pos
+            if left > 0:
+                window = text[k : k + m]
+                if window not in seen:
+                    if len(seen) == m:
+                        del seen[next(iter(seen))]
+                    seen[window] = _is_image(pattern, window)
+                image, work = seen[window]
+                left += budget - work
+                if image:
+                    yield pos, None
+            else:
+                if pos > end:  # the window does not continue the open run
+                    run = end = pos
+                yield run, text[k + end - pos : k + m]
+                end = pos + m
+            k = marks.find(1, k + 1)
         tail = text[max(0, len(text) - m + 1) :]
         offset += len(text) - len(tail)
+
+
+# _EQ[v] maps byte v to 1 and every other byte to 0 (for bytes.translate)
+_EQ = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
+
+
+def _equal(data: bytes, width: int, value: int) -> int:
+    """The int whose byte i is 1 where digit i of ``data``, ``width``
+    bytes little-endian, equals ``value``, and 0 elsewhere: each byte lane
+    is compared on its own.  ``data[0::1]`` is ``data``, not a copy."""
+    eq = int.from_bytes(data[0::width].translate(_EQ[value & 255]), "little")
+    for j in range(1, width):
+        eq &= int.from_bytes(data[j::width].translate(_EQ[value >> 8 * j & 255]), "little")
+    return eq
+
+
+def _count_marks(text: str, m: int, counts: dict[int, int], width: int) -> bytes:
+    """One byte per window of m symbols, ``text[k:k+m]`` for k = 0 ..
+    len(text)-m: 1 if the window holds each code point c of ``counts``
+    exactly its count times, else 0.
+
+    ``text`` becomes its code points, ``width`` bytes each: latin-1, with
+    ``?`` for any symbol beyond, or UTF-32.  The 0/1 indicator x of c, read
+    as an int in digits of w = ``digit`` bytes (1, 2 or 4, as m needs), becomes
+    ((x << 8wm) - x) // (256^w - 1), which is x times a digit 1 repeated m
+    times: digit i is the count of c in the window ending at i.  No count
+    exceeds m < 256^w, so no digit carries and the division is exact.  The
+    marks are ANDed over the code points, and once none is left the rest
+    are skipped.
+    """
+    n = len(text)
+    if n < m:
+        return b""
+    if width == 1:
+        data = text.encode("latin-1", "replace")
+    else:  # a lone surrogate too is its own code point
+        data = text.encode("utf-32-le", "surrogatepass")
+    digit = 1 if m < 256 else 2 if m < 65536 else 4  # bytes per count
+    spread = "utf-16-le" if digit == 2 else "utf-32-le"
+    shift, ones = 8 * digit * m, (1 << 8 * digit) - 1
+    marks = -1
+    for code, count in counts.items():
+        x = _equal(data, width, code)
+        if digit > 1:  # one digit of `digit` bytes per symbol
+            x = x.to_bytes(n, "little").decode("latin-1").encode(spread)
+            x = int.from_bytes(x, "little")
+        x = ((x << shift) - x) // ones
+        # digits m-1 .. n-1, the counts of whole windows; the int dies here
+        x = x.to_bytes(digit * (n + m), "little")[digit * (m - 1) : digit * n]
+        marks &= _equal(x, digit, count)
+        if not marks:
+            break
+    return marks.to_bytes(n - m + 1, "little")
 
 
 def _is_image(pattern: str, window: str) -> tuple[bool, int]:

@@ -97,8 +97,7 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
         tokens = head.split(maxsplit=1)
         if not tokens:
             raise ValueError("empty FASTA header")
-        chunks = ("".join(piece.split()) for piece in group)
-        yield FastaRecord(tokens[0], (chunk for chunk in chunks if chunk))
+        yield FastaRecord(tokens[0], filter(None, map("".join, map(str.split, group))))
 
 
 def _load_pattern(args: argparse.Namespace) -> str:

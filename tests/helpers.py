@@ -7,8 +7,10 @@ so they stay independent of the code paths they verify.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterable
 
+from translocsearch import _is_image
 from translocsearch.automaton import OpCounter
 from translocsearch.dawg import ROOT, Dawg, advance_with_hops, build_dawg
 from translocsearch.dp import DpColumns
@@ -206,6 +208,41 @@ def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
                 counter.inner_iterations += sizes[j - h - k]
         counter.insertions += sizes[j] - 1
     return counter
+
+
+def reference_pieces(pattern: str, text: str, budget: float) -> list[tuple[int, str | None]]:
+    """The stream `translocsearch._pieces` yields for ``text`` under check
+    budget ``budget``, recomputed from the whole text: the windows whose
+    `Counter` equals the pattern's, in clusters of overlapping ones.  The
+    r-th window of a cluster is checked on its own if every window before
+    it was and their check work is below r * budget * m^2, and gives
+    (k, None) if it is an image.  Every other window is left to an engine
+    and gives the symbols it adds to its run, the m symbols of a window
+    that starts one, each run keyed by its first window's position."""
+    m, counts = len(pattern), Counter(pattern)
+    windows = [k for k in range(len(text) - m + 1) if Counter(text[k : k + m]) == counts]
+    clusters = []
+    for k in windows:
+        if clusters and k < clusters[-1][-1] + m:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    out, run, end = [], -1, -1
+    for cluster in clusters:
+        spent, checked = 0, True
+        for rank, k in enumerate(cluster, 1):
+            checked = checked and spent < rank * budget * m * m
+            if checked:
+                image, work = _is_image(pattern, text[k : k + m])
+                spent += work
+                if image:
+                    out.append((k, None))
+                continue
+            if k > end:  # the window starts a run
+                run = end = k
+            out.append((run, text[end : k + m]))
+            end = k + m
+    return out
 
 
 def image_count_bound(upto: int) -> list[int]:

@@ -30,7 +30,7 @@ from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import enumerate_images, naive_search
 from translocsearch.seqcore import encode, infer_alphabet
 
-from helpers import EX2_X, EX2_Y, LETTERS, encode_pair, reference_counts
+from helpers import EX2_X, EX2_Y, LETTERS, encode_pair, reference_counts, reference_pieces
 
 ENGINES = ("naive", "dp", "dawg")
 
@@ -188,11 +188,140 @@ def test_filtered_engines_match_naive_and_unfiltered(case):
 @given(case=filter_cases(LETTERS, 24))
 @example(case=(LETTERS, "N" + LETTERS[::-1] + LETTERS[10:] + LETTERS[:10] + LETTERS, [7, 30]))
 def test_filter_with_multi_word_weights(case):
-    """20 pattern symbols: weights up to (m+1)^19, far beyond one machine
-    word; too many images for the naive engine, so `dp` is the reference."""
+    """20 pattern symbols: the filter tests 20 symbol counts per window, and
+    their marks must all hold at once; too many images for the naive
+    engine, so `dp` is the reference."""
     pattern, text, cuts = case
     expected = dp_search(*encode_pair(pattern, text))
     assert_filtered_ends(pattern, text, cuts, expected)
+
+
+def assert_stream(pattern: str, text: str, cuts: list[int]):
+    """Under every budget in BUDGETS, `_pieces` on the chunked text yields
+    the stream `reference_pieces` computes from the whole text."""
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(translocsearch, "CHECK_BUDGET", budget)
+            got = list(translocsearch._pieces(pattern, iter(split(text, cuts))))
+        assert got == reference_pieces(pattern, text, budget), budget
+
+
+# Symbols outside latin-1, among them a lone surrogate, and "?", which
+# stands in for them when the pattern has neither
+FOREIGN = "N?\u20ac\U0001d11e\udc80"
+
+
+@st.composite
+def coded_cases(draw):
+    """(pattern, text, cuts) for each way the filter codes symbols: latin-1
+    with "?" for the rest, and codes of its own when the pattern holds "?"
+    or a symbol beyond latin-1; texts as in `filter_cases`, with noise from
+    FOREIGN too."""
+    symbols = draw(st.sampled_from(("ab", "ACGT", "a\xe9\u20ac", "\u20ac\U0001d11e", "a?\u20ac")))
+    pattern = draw(st.text(symbols, min_size=1, max_size=8))
+    segment = st.one_of(
+        swapped(pattern),
+        st.permutations(pattern).map("".join),
+        st.text(symbols + FOREIGN, max_size=2 * len(pattern)),
+    )
+    text = "".join(draw(st.lists(segment, max_size=6)))
+    cuts = draw(st.lists(st.integers(0, len(text)), max_size=12))
+    return pattern, text, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coded_cases())
+@example(case=("a", "aNa?a", [0, 1, 1, 5]))  # m = 1, empty chunks at both ends
+@example(case=("abcd", "abc", [1, 1]))  # m > n
+@example(case=("a?", "?a\u20aca?", [2]))  # "?" in the pattern, "\u20ac" is not
+@example(case=("\u20aca", "a\u20ac\U0001d11ea\u20ac", [3, 3]))  # pattern beyond latin-1
+@example(case=("\udc80a", "a\udc80?\udc80a", [2]))  # a lone surrogate in the pattern
+def test_filter_stream_matches_the_counter_reference(case):
+    pattern, text, cuts = case
+    assert_stream(pattern, text, cuts)
+
+
+def long_case(pattern: str, seed: int) -> tuple[str, list[int]]:
+    """Text of noise, a permutation of the pattern, an image of it, the
+    pattern itself, the pattern with "?" written as a symbol beyond latin-1,
+    and m+2 copies of its first symbol; and six chunk cuts, one repeated
+    (an empty chunk)."""
+    rng = random.Random(seed)
+    m = len(pattern)
+    symbols = sorted(set(pattern)) + list(FOREIGN)
+    noise = "".join(rng.choice(symbols) for _ in range(m // 2))
+    i, h = sorted(rng.sample(range(1, m), 2))
+    image = pattern[: i // 2] + pattern[i:h] + pattern[i // 2 : i] + pattern[h:]
+    text = "".join((
+        noise, "".join(rng.sample(pattern, m)), image, pattern,
+        pattern.replace("?", "\u20ac"), pattern[0] * (m + 2), noise,
+    ))
+    cuts = [rng.randrange(len(text) + 1) for _ in range(5)]
+    return text, [*cuts, cuts[0]]
+
+
+@pytest.mark.parametrize("pattern", [
+    "a" * 255,  # the largest count in one byte
+    "a" * 256,  # counts take two bytes from m = 256 on
+    ("ab" * 150)[:256],  # a window of m+2 a's holds 256 of them, the pattern 128
+    "".join(random.Random(300).sample("a" * 270 + "b" * 30, 300)),  # 270 a's
+    "".join(map(chr, range(0x4E00, 0x4E00 + 300))),  # 300 distinct symbols
+    "".join(map(chr, range(256))),  # all of latin-1, "?" too
+], ids=["m255", "m256-unary", "m256", "m300", "300-distinct", "256-distinct-latin-1"])
+def test_filter_stream_on_long_patterns(pattern):
+    text, cuts = long_case(pattern, len(pattern))
+    assert_stream(pattern, text, cuts)
+    assert any(piece is None for _, piece in reference_pieces(pattern, text, math.inf))  # images
+
+
+def astral(d: int) -> str:
+    """d distinct symbols beyond the Basic Multilingual Plane."""
+    return "".join(map(chr, range(0x10000, 0x10000 + d)))
+
+
+@pytest.mark.parametrize("pattern, text", [
+    # a window of m a's: a count of 65 536 needs more than two bytes
+    ("a" * 65_535 + "b", "a" * 65_536 + "baa"),
+    # 65 536 distinct symbols beyond latin-1
+    (astral(65_536), astral(65_536)[1:] + "N" + astral(1) + "N"),
+], ids=["m65536", "65536-distinct"])
+def test_filter_stream_on_huge_patterns(pattern, text, monkeypatch):
+    """Counts too large for two bytes.  Budget 0 only: checking windows
+    such as a^65534 b a one by one takes O(m^3) work."""
+    monkeypatch.setattr(translocsearch, "CHECK_BUDGET", 0)
+    cuts = [len(pattern) // 2] * 2
+    got = list(translocsearch._pieces(pattern, iter(split(text, cuts))))
+    assert got == reference_pieces(pattern, text, 0)
+
+
+def test_filter_runs_a_bounded_number_of_lines_per_chunk():
+    """The filter works a chunk at a time, not a symbol at a time: over 10^4
+    random DNA symbols in 2 KiB chunks, with m = 64 and no candidate window,
+    the lines of the package's main module run fewer than 100 times per
+    chunk (about 50 today), where a loop over the symbols would run them
+    tens of thousands of times."""
+    rng = random.Random(19)
+    text = "".join(rng.choice("ACGT") for _ in range(10_000))
+    pattern = "".join(rng.choice("ACGT") for _ in range(64))
+    chunks = [text[i : i + 2048] for i in range(0, len(text), 2048)]
+    events = 0
+
+    def line(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code.co_filename == translocsearch.__file__ else None
+
+    tracer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        pieces = list(translocsearch._pieces(pattern, iter(chunks)))
+    finally:
+        sys.settrace(tracer)
+    assert pieces == reference_pieces(pattern, text, 0) == []
+    assert events < 100 * len(chunks), events
 
 
 def candidate_symbols(pattern: str, text: str, budget: float) -> tuple[int, int]:
