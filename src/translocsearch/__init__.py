@@ -69,12 +69,13 @@ def match_ends(
     Chunks are read one at a time, so memory grows with the largest chunk,
     not with the text.  ``dp`` and ``dawg`` run only on the runs of text
     that :func:`_pieces` passes, each run from a fresh start, and the
-    windows it checked on their own are hits without an engine.  The
-    pattern is encoded, and the DAWG and one code lookup for the runs'
-    symbols built, only once the first run starts.  ``naive`` sees the
-    whole text, so it checks the filter and the window check too; it
-    refuses patterns longer than :data:`translocsearch.oracle.NAIVE_LIMIT`
-    (12).
+    windows it checked on their own are hits without an engine.  A run's
+    engine returns once the scan has passed the run, before the next chunk
+    is read.  The pattern is encoded, and the DAWG and one code lookup for
+    the runs' symbols built, only once the first run starts.  ``naive``
+    sees the whole text, so it checks the filter and the window check too;
+    it refuses patterns longer than
+    :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
     """
     if not pattern:
         raise ValueError("empty pattern")
@@ -85,20 +86,20 @@ def match_ends(
         return naive_search(encode(pattern, alphabet), txt)
     if algo not in ("dp", "dawg"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    m = len(pattern)
     hits = []
     pat = d = None
     for start, pieces in groupby(_pieces(pattern, chunks), itemgetter(0)):
-        first = next(pieces)[1]
-        if first is None:  # a window checked on its own: an image
-            hits.append(start + m)
+        if start is None:  # hit ends of images checked on their own, and run ends
+            for _, end in pieces:  # no generator: the group may span every later chunk
+                if end:
+                    hits.append(end)
             continue
         if pat is None:  # the first run
             alphabet = infer_alphabet(pattern)
             pat = encode(pattern, alphabet)
             code = dict(zip(pattern, pat.codes)).get
             d = build_dawg(pat) if algo == "dawg" else None
-        symbols = chain.from_iterable(chain((first,), map(itemgetter(1), pieces)))
+        symbols = chain.from_iterable(map(itemgetter(1), pieces))
         run = map(code, symbols, repeat(alphabet.sentinel))
         if algo == "dp":
             ends = dp_search(pat, run)
@@ -116,11 +117,13 @@ def match_ends(
 CHECK_BUDGET = 0.25
 
 
-def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | None]]:
+def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, str | int | None]]:
     """What is left of the text once windows that cannot match are
-    skipped, in text order: (k, None) for a window of m symbols at text
-    position k that :func:`_is_image` found to be an image, and (run
-    offset, symbols) pieces of the runs an engine must step over.
+    skipped, in text order, each item keyed by what it is: (None, end) for
+    a window that :func:`_is_image` found to be an image, ``end`` being its
+    1-based hit end; (run offset, symbols) for the pieces of a run an
+    engine must step over; and (None, None) once a chunk ends past a run's
+    last window, which ends the run, as no later window can continue it.
 
     Only windows whose symbol counts equal the pattern's can match; a
     window with every pattern symbol's count right holds m pattern
@@ -154,7 +157,7 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
     width = 1 if max(counts) < 256 and 63 not in counts else 4
     tail = ""  # the last m-1 symbols before the chunk
     offset = 0  # symbols before text[0]
-    run = end = -1  # the open run: offset, and end of its last window
+    run = end = -1  # the open run: offset, and end of its last window (-1: no run open)
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
@@ -177,7 +180,7 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
                 image, work = seen[window]
                 left += budget - work
                 if image:
-                    yield pos, None
+                    yield None, pos + m
             else:
                 if pos > end:  # the window does not continue the open run
                     run = end = pos
@@ -186,6 +189,9 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int, str | No
             k = marks.find(1, k + 1)
         tail = text[max(0, len(text) - m + 1) :]
         offset += len(text) - len(tail)
+        if 0 <= end < offset:  # no later window can continue the open run
+            yield None, None
+            end = -1
 
 
 # _EQ[v] maps byte v to 1 and every other byte to 0 (for bytes.translate)

@@ -19,7 +19,6 @@ import re
 import sys
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -35,8 +34,7 @@ CHUNK_CHARS = 2 * 1024
 ID_END = re.compile(r"\S+\s")
 
 
-@dataclass(frozen=True)
-class FastaRecord:
+class FastaRecord(NamedTuple):
     """A record whose sequence is read lazily, as string chunks."""
 
     id: str

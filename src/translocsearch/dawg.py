@@ -18,31 +18,22 @@ A pattern of length m produces at most 2m+1 states.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from .seqcore import Sequence
 
 ROOT = 0
 
 
-class Dawg:
+class Dawg(NamedTuple):
     """Factor automaton built by :func:`build_dawg`; immutable afterwards."""
 
-    __slots__ = ("lens", "suf", "isuf", "link_len", "trans", "endpos")
-
-    def __init__(
-        self,
-        lens: list[int],
-        suf: list[int],
-        isuf: list[int],
-        trans: list[dict[int, int]],
-        endpos: list[int],
-    ):
-        self.lens = lens
-        self.suf = suf
-        self.isuf = isuf
-        self.trans = trans
-        self.endpos = endpos
-        # lens[suf[q]] with -1 for the root, precomputed for the hot loops
-        self.link_len = [lens[s] if s >= 0 else -1 for s in suf]
+    lens: list[int]
+    suf: list[int]
+    isuf: list[int]
+    link_len: list[int]  # lens[suf[q]] with -1 for the root, for the hot loops
+    trans: list[dict[int, int]]
+    endpos: list[int]
 
     @property
     def state_count(self) -> int:
@@ -113,7 +104,8 @@ def build_dawg(pattern: Sequence) -> Dawg:
         s = suf[q]
         isuf[q] = s if len(trans[s]) > len(trans[q]) else isuf[s]
 
-    return Dawg(lens, suf, isuf, trans, endpos)
+    link_len = [lens[s] if s >= 0 else -1 for s in suf]
+    return Dawg(lens, suf, isuf, link_len, trans, endpos)
 
 
 def advance_with_hops(

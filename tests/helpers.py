@@ -210,15 +210,16 @@ def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
     return counter
 
 
-def reference_pieces(pattern: str, text: str, budget: float) -> list[tuple[int, str | None]]:
+def reference_pieces(pattern: str, text: str, budget: float) -> list[tuple[int | None, str | int]]:
     """The stream `translocsearch._pieces` yields for ``text`` under check
-    budget ``budget``, recomputed from the whole text: the windows whose
-    `Counter` equals the pattern's, in clusters of overlapping ones.  The
-    r-th window of a cluster is checked on its own if every window before
-    it was and their check work is below r * budget * m^2, and gives
-    (k, None) if it is an image.  Every other window is left to an engine
-    and gives the symbols it adds to its run, the m symbols of a window
-    that starts one, each run keyed by its first window's position."""
+    budget ``budget``, without its (None, None) run ends, recomputed from
+    the whole text: the windows whose `Counter` equals the pattern's, in
+    clusters of overlapping ones.  The r-th window of a cluster is checked
+    on its own if every window before it was and their check work is below
+    r * budget * m^2, and gives (None, k + m), its hit end, if it is an
+    image.  Every other window is left to an engine and gives the symbols
+    it adds to its run, the m symbols of a window that starts one, each run
+    keyed by its first window's position."""
     m, counts = len(pattern), Counter(pattern)
     windows = [k for k in range(len(text) - m + 1) if Counter(text[k : k + m]) == counts]
     clusters = []
@@ -236,7 +237,7 @@ def reference_pieces(pattern: str, text: str, budget: float) -> list[tuple[int, 
                 image, work = _is_image(pattern, text[k : k + m])
                 spent += work
                 if image:
-                    out.append((k, None))
+                    out.append((None, k + m))
                 continue
             if k > end:  # the window starts a run
                 run = end = k

@@ -336,9 +336,9 @@ def test_searches_leave_a_shared_dawg_unchanged():
     pat, txt1 = encode_pair(x, first)
     txt2 = encode_pair(x, second)[1]
     d = build_dawg(pat)
-    before = [copy.deepcopy(getattr(d, name)) for name in Dawg.__slots__]
+    before = [copy.deepcopy(getattr(d, name)) for name in Dawg._fields]
     automaton_search(pat, txt1, d)
     ends, counter = automaton_search(pat, txt2, d)
-    assert [getattr(d, name) for name in Dawg.__slots__] == before
+    assert [getattr(d, name) for name in Dawg._fields] == before
     assert ends
     assert (ends, counter) == automaton_search(pat, txt2)

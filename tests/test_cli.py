@@ -39,6 +39,20 @@ class TestParseFasta:
         assert record.id == "seq1"
         assert "".join(record.chunks) == "acgt"
 
+    def test_whitespace_lines_before_the_first_header(self, tmp_path, capsys):
+        body = ">a x\nGATTACA\n>b\nCAGATTA\n"
+        outputs = []
+        for lead in ("", "\n  \n\t\n"):
+            records = parse_fasta(io.StringIO(lead + body))
+            assert [(r.id, "".join(r.chunks)) for r in records] == [
+                ("a", "GATTACA"), ("b", "CAGATTA")
+            ]
+            fasta = tmp_path / f"lead{len(lead)}.fa"
+            fasta.write_text(lead + body)
+            assert main(["search", "--pattern", "gattaca", "--fasta", str(fasta)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["a\t7\nb\t7\n"] * 2
+
     def test_empty_header_rejected(self):
         with pytest.raises(ValueError, match="empty FASTA header"):
             list(parse_fasta(io.StringIO(">\nacgt\n")))
@@ -215,6 +229,16 @@ class TestBenchCommand:
 
     def test_text_shorter_than_pattern(self, capsys):
         assert main(["bench", "--m", "64", "--n", "10", "--sigma", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "option", [["--m", "0,4"], ["--m", ","], ["--trials", "0"]],
+        ids=["m-zero", "m-empty", "trials-zero"],
+    )
+    def test_invalid_lengths_and_trials(self, capsys, option):
+        argv = ["bench", "--m", "4", "--n", "100", "--sigma", "4", *option]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("utd: error: ")
 
     def test_rows_carry_finite_costs(self):
         rows = bench_rows([4, 16], n=500, sigma=4, trials=2, seed=3)

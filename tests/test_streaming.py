@@ -196,13 +196,30 @@ def test_filter_with_multi_word_weights(case):
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
+def stream(pattern: str, chunks: list[str]) -> list[tuple[int | None, str | int]]:
+    """`_pieces` on ``chunks``, without its (None, None) run ends, whose
+    place depends on where the chunks are cut.  Each of them must end the
+    open run: it follows a piece of that run, and no piece of it follows."""
+    out, run, last = [], None, None  # the open run's offset, the last run's
+    for start, piece in translocsearch._pieces(pattern, iter(chunks)):
+        if piece is None:
+            assert start is None and run is not None, out
+            run = None
+            continue
+        if start is not None:
+            assert start == run or last is None or start > last, out
+            run = last = start
+        out.append((start, piece))
+    return out
+
+
 def assert_stream(pattern: str, text: str, cuts: list[int]):
     """Under every budget in BUDGETS, `_pieces` on the chunked text yields
     the stream `reference_pieces` computes from the whole text."""
     for budget in BUDGETS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
-            got = list(translocsearch._pieces(pattern, iter(split(text, cuts))))
+            got = stream(pattern, split(text, cuts))
         assert got == reference_pieces(pattern, text, budget), budget
 
 
@@ -271,7 +288,7 @@ def long_case(pattern: str, seed: int) -> tuple[str, list[int]]:
 def test_filter_stream_on_long_patterns(pattern):
     text, cuts = long_case(pattern, len(pattern))
     assert_stream(pattern, text, cuts)
-    assert any(piece is None for _, piece in reference_pieces(pattern, text, math.inf))  # images
+    assert any(start is None for start, _ in reference_pieces(pattern, text, math.inf))  # images
 
 
 def astral(d: int) -> str:
@@ -290,8 +307,7 @@ def test_filter_stream_on_huge_patterns(pattern, text, monkeypatch):
     such as a^65534 b a one by one takes O(m^3) work."""
     monkeypatch.setattr(translocsearch, "CHECK_BUDGET", 0)
     cuts = [len(pattern) // 2] * 2
-    got = list(translocsearch._pieces(pattern, iter(split(text, cuts))))
-    assert got == reference_pieces(pattern, text, 0)
+    assert stream(pattern, split(text, cuts)) == reference_pieces(pattern, text, 0)
 
 
 def test_filter_runs_a_bounded_number_of_lines_per_chunk():
@@ -511,7 +527,7 @@ def test_window_memory_is_flat_in_cluster_length():
         tracemalloc.start()
         try:
             pieces = translocsearch._pieces(pattern, half_blocks(n))
-            assert all(piece is None for _, piece in pieces)  # no engine run
+            assert all(start is None for start, _ in pieces)  # no engine run
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -772,6 +788,49 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
             outputs.add(run_search(argv))
     assert len(outputs) == 1 and outputs.pop().count("\n") == 110
     assert runs[0] and runs[0] == runs[1] == runs[2] and max(runs[0]) > 60, runs
+
+
+def test_a_run_ends_once_the_scan_passes_it(monkeypatch):
+    """A run whose clusters exhaust the check budget, then chunks without a
+    candidate window: `_pieces` ends the run at the end of the first of
+    them, so its engine returns, and its state is freed, before the second
+    is read.  Each run that ends before the text does is ended once."""
+    pattern = "A" * 11 + "C"
+    events = []
+
+    def chunks(runs: int):
+        for _ in range(runs):
+            yield pattern * 6
+            for i in range(4):
+                events.append(f"read {i}")
+                yield "G" * 20
+
+    def returning(name):
+        real = getattr(translocsearch, name)
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            events.append("returned")
+            return result
+        monkeypatch.setattr(translocsearch, name, spy)
+
+    returning("dp_search")
+    returning("automaton_search")
+    expected = dp_search(*encode_pair(pattern, "".join(chunks(1))))
+    for algo in ("dp", "dawg"):
+        events.clear()
+        assert match_ends(pattern, chunks(1), algo) == expected, algo
+        assert events == ["read 0", "returned", "read 1", "read 2", "read 3"], algo
+
+    def run_ends(text: list[str]) -> int:
+        return list(translocsearch._pieces(pattern, iter(text))).count((None, None))
+
+    for runs in (1, 3):
+        text = list(chunks(runs))
+        starts = {start for start, _ in translocsearch._pieces(pattern, iter(text))}
+        assert len(starts - {None}) == runs
+        assert run_ends(text) == run_ends([*text, pattern]) == runs  # an image after them
+        assert run_ends(text[:-4]) == runs - 1  # the last run ends with the text
 
 
 def test_search_encodes_only_the_pattern(tmp_path, monkeypatch):
