@@ -2,8 +2,9 @@
 
 Searching reports one line per match (TSV `record<TAB>end` or a JSON
 array); FASTA records are searched independently and matches never span
-record boundaries.  Input is streamed into the engines a line or chunk at
-a time, so memory depends on the pattern and not on the text.
+record boundaries.  Input is streamed into the engines a block of at most
+CHUNK_CHARS characters at a time, so memory depends on the pattern and
+not on the text.
 Benchmarking runs the automaton engine on uniform random pattern/text
 pairs and emits machine-independent work counters as CSV; rows are
 deterministic for a given seed.
@@ -11,6 +12,8 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import math
 import os
@@ -20,15 +23,17 @@ import sys
 import zlib
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
 from .seqcore import Sequence
 
-# --text-file and FASTA lines are read in pieces of this many characters
-CHUNK_CHARS = 2 * 1024
+# every text source is read in blocks of this many characters (bytes, for a file)
+CHUNK_CHARS = 1024
+
+# a line whose first non-blank character is '>' opens a FASTA record
+RECORD_START = re.compile(r"^[^\S\n]*>", re.MULTILINE)
 
 # a header holds its complete ID once a word is followed by whitespace
 ID_END = re.compile(r"\S+\s")
@@ -60,42 +65,60 @@ CSV_HEADER = ",".join(BenchRow._fields)
 
 
 def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
-    """Standard FASTA, read lazily in pieces of at most CHUNK_CHARS
-    characters: a '>' at the start of a line opens a record whose ID is the
-    line's first word, each piece of a sequence line is one chunk,
-    stripped of whitespace, and blank lines are ignored.
+    """Standard FASTA, read lazily in blocks of CHUNK_CHARS characters: a
+    line whose first non-blank character is '>' opens a record whose ID is
+    the first word after the '>'.  A '>' anywhere else is a sequence
+    symbol.  Each block's part of a record's sequence lines, stripped of
+    whitespace, is one chunk, which may be empty.
 
     A record's chunks must be read before the next record is taken: taking
     it skips the rest of the current record.  A malformed line raises
     ``ValueError`` only when it is reached, after the records before it.
     """
-    headers = 0
+    read = partial(fh.read, CHUNK_CHARS)
+    block, pos = read(), 0
+    # whether only blanks lie between the last line break and the block
     line_start = True
 
-    def record_index(piece: str) -> int:
-        nonlocal headers, line_start
-        if line_start and piece.lstrip().startswith(">"):
-            headers += 1
-        line_start = piece.endswith("\n")
-        return headers
+    def sequence() -> Iterator[str]:
+        """The chunks up to the next header, which is left at ``pos``."""
+        nonlocal block, pos, line_start
+        while block:
+            # '^' matches at index 0 whatever precedes the block; past 0, after a '\n'
+            header = RECORD_START.search(block, pos if pos or line_start else 1)
+            if header:
+                yield "".join(block[pos : header.start()].split())
+                pos = header.end()
+                return
+            tail = block[block.rfind("\n") + 1 :]
+            line_start = ("\n" in block or line_start) and (not tail or tail.isspace())
+            yield "".join(block[pos:].split())
+            block, pos = read(), 0
 
-    # groupby splits the pieces at each header, and reads each group lazily
-    pieces = iter(lambda: fh.readline(CHUNK_CHARS), "")
-    for index, group in groupby(pieces, key=record_index):
-        if index == 0:  # lines before the first header
-            if any(not piece.isspace() for piece in group):
-                raise ValueError("missing FASTA header")
-            continue
-        piece = next(group)
-        head = piece.lstrip()[1:].lstrip()
-        while not piece.endswith("\n"):  # a header line longer than one piece
-            piece = next(group, "\n")
+    def header_id() -> str:
+        """The ID of the header line at ``pos``, which is then skipped."""
+        nonlocal block, pos
+        head = ""
+        while block:
+            end = block.find("\n", pos)
             if not ID_END.match(head):  # keep only what can hold the ID
-                head = (head + piece).lstrip()
+                head = (head + block[pos : end if end >= 0 else None]).lstrip()
+            if end >= 0:
+                pos = end + 1
+                break
+            block, pos = read(), 0
         tokens = head.split(maxsplit=1)
         if not tokens:
             raise ValueError("empty FASTA header")
-        yield FastaRecord(tokens[0], filter(None, map("".join, map(str.split, group))))
+        return tokens[0]
+
+    if any(sequence()):
+        raise ValueError("missing FASTA header")
+    while block:
+        record_id, chunks = header_id(), sequence()
+        yield FastaRecord(record_id, chunks)
+        for _ in chunks:  # skip what was left unread
+            pass
 
 
 def _load_pattern(args: argparse.Namespace) -> str:
@@ -120,19 +143,41 @@ def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
             yield parse_fasta(fh)
 
 
-def _open_text(path: str) -> TextIO:
-    """A text file that decodes CHUNK_CHARS characters at a time: a
-    seekable text file keeps a copy of the bytes of its current decoding
-    chunk for ``tell()``, 8 KiB by default, whenever it is read other than
-    by iteration.  A path ending in ``.gz`` is decompressed as it is read."""
+class _Utf8File:
+    """A binary file read as UTF-8 text with universal newlines, as ``open``
+    reads it, but through no buffer of its own: each ``read(size)`` decodes
+    reads of at most ``size`` bytes until one completes a character or the
+    file ends."""
+
+    def __init__(self, raw: BinaryIO) -> None:
+        self.raw = raw
+        utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
+
+    def read(self, size: int) -> str:
+        while data := self.raw.read(size):
+            text = self.decode(data)
+            if text:  # empty when the bytes end inside a character, or on a '\r'
+                return text
+        return self.decode(b"", final=True)
+
+    def __enter__(self) -> _Utf8File:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.raw.close()
+
+
+def _open_text(path: str) -> _Utf8File:
+    """The file at ``path`` as text, unbuffered: a text file from ``open``
+    keeps 8 KiB of read-ahead bytes, and a seekable one a copy of them for
+    ``tell()``, where each read here holds only the CHUNK_CHARS bytes it
+    asks for.  A path ending in ``.gz`` is decompressed as it is read."""
     if path.endswith(".gz"):
         import gzip  # only gzipped input needs it; keeps `utd search` start-up fast
 
-        fh = gzip.open(path, "rt", encoding="utf-8")
-    else:
-        fh = open(path, encoding="utf-8")
-    fh._CHUNK_SIZE = CHUNK_CHARS
-    return fh
+        return _Utf8File(gzip.open(path))
+    return _Utf8File(open(path, "rb", buffering=0))
 
 
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:

@@ -1,9 +1,12 @@
+import gc
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -66,13 +69,74 @@ class TestParseFasta:
             ("r1", "acg>t"), ("r2", "A")
         ]
 
-    def test_taking_the_next_record_skips_unread_lines(self):
-        records = parse_fasta(io.StringIO(">a\nAC\n>b\nGG\nTT\n>c\nC\n"))
-        first = next(records)
-        assert first.id == "a"
-        second = next(records)
-        assert (second.id, next(iter(second.chunks))) == ("b", "GG")
-        assert [(r.id, "".join(r.chunks)) for r in records] == [("c", "C")]
+    def test_taking_the_next_record_skips_unread_lines(self, monkeypatch):
+        """Also in 3-character blocks, where the first chunk of b is "GG"."""
+        for chunk_chars in (cli.CHUNK_CHARS, 3):
+            monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+            records = parse_fasta(io.StringIO(">a\nAC\n>b\nGG\nTT\n>c\nC\n"))
+            first = next(records)
+            assert first.id == "a"
+            second = next(records)
+            read = next(filter(None, second.chunks))
+            assert second.id == "b" and "GGTT".startswith(read)
+            assert [(r.id, "".join(r.chunks)) for r in records] == [("c", "C")]
+            assert "".join(first.chunks) == "".join(second.chunks) == ""
+
+    @pytest.mark.parametrize("chunk_chars", [cli.CHUNK_CHARS, 3])
+    def test_a_record_opens_at_a_lines_first_non_blank_character(
+        self, tmp_path, monkeypatch, chunk_chars
+    ):
+        """Blanks may precede the '>', and lines may end in CRLF; a file is
+        read with universal newlines, so a lone CR ends a line there too."""
+        monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+        expected = [("a", "AC"), ("b", "GG")]
+        for text in (">a\nAC\n  >b\nGG\n", ">a\r\nAC\r\n  >b\r\nGG\r\n", "\t>a\nAC\n \t>b x\nG\n G\n"):
+            records = parse_fasta(io.StringIO(text))
+            assert [(r.id, "".join(r.chunks)) for r in records] == expected, text
+        for raw in (b">a\r\nAC\r\n  >b\r\nGG\r\n", b">a\rAC\r  >b\rGG\r"):
+            path = tmp_path / "records.fa"
+            path.write_bytes(raw)
+            with cli._open_text(str(path)) as fh:
+                assert [(r.id, "".join(r.chunks)) for r in parse_fasta(fh)] == expected, raw
+
+    @pytest.mark.parametrize("chunk_chars", [cli.CHUNK_CHARS, 3])
+    def test_header_memory_is_flat_in_description_length(
+        self, tmp_path, monkeypatch, chunk_chars
+    ):
+        """Of a header line longer than a block only what can hold the ID
+        is kept, however long the ID."""
+        monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+        long_id = "i" * 3000
+        peaks = []
+        for length in (1_000, 100_000):
+            path = tmp_path / f"{length}.fa"
+            path.write_text(
+                f">id1 {'d' * length}\nGATTACA\n>  id2\t{'x ' * length}\nACGT\n"
+                f">{long_id} {'d' * length}\nTT\n"
+            )
+            gc.collect()
+            tracemalloc.start()
+            try:
+                with cli._open_text(str(path)) as fh:
+                    records = [(r.id, "".join(r.chunks)) for r in parse_fasta(fh)]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert records == [("id1", "GATTACA"), ("id2", "ACGT"), (long_id, "TT")]
+        assert peaks[1] - peaks[0] < 4 * 1024, peaks
+
+    def test_a_record_is_read_in_blocks_not_lines(self, tmp_path):
+        seq = "ACGT" * 7500
+        text = ">r\n" + "".join(seq[p : p + 60] + "\n" for p in range(0, len(seq), 60))
+        path = tmp_path / "r.fa"
+        path.write_text(text)
+        with cli._open_text(str(path)) as fh:
+            for source in (io.StringIO(text), fh):
+                records = parse_fasta(source)
+                chunks = list(next(records).chunks)
+                assert next(records, None) is None
+                assert "".join(chunks) == seq
+                assert len(chunks) <= math.ceil(len(seq) / cli.CHUNK_CHARS) + 1
 
 
 class TestSearchCommand:

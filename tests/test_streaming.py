@@ -741,6 +741,39 @@ def test_truncated_gzip_exits_2_with_a_message(tmp_path, capsys, source):
     assert capsys.readouterr().err.startswith("utd: error: Compressed file ended")
 
 
+def test_multibyte_symbols_across_read_boundaries(tmp_path, monkeypatch):
+    """Files are read a block of bytes at a time, so a read may end inside a
+    two-, three- or four-byte symbol, and in 3-byte reads one may hold no
+    whole symbol; the output is the same at every block size."""
+    rng = random.Random(11)
+    seq = "".join(rng.choice("Aé€𝄞") for _ in range(3_000))
+    pattern = seq[1_000:1_008]
+    fasta = tmp_path / "utf8.fa"
+    lines = (seq[p : p + 60] + "\n" for p in range(0, len(seq), 60))
+    fasta.write_text(">u ü€𝄞\n" + "".join(lines), encoding="utf-8")
+    text = tmp_path / "utf8.txt"
+    text.write_text(seq + "\n", encoding="utf-8")
+    for algo in ENGINES:
+        argv = ["--pattern", pattern, "--algo", algo]
+        expected = run_search([*argv, "--text", seq])
+        assert expected, algo
+        for chunk_chars in (cli.CHUNK_CHARS, 3):
+            monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+            from_fasta = run_search([*argv, "--fasta", str(fasta)])
+            assert from_fasta == expected.replace("stdin\t", "u\t"), (chunk_chars, algo)
+            from_file = run_search([*argv, "--text-file", str(text)])
+            assert from_file == expected.replace("stdin\t", f"{text}\t"), (chunk_chars, algo)
+
+
+@pytest.mark.parametrize("source", ["--fasta", "--text-file"])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82"], ids=["invalid", "cut"])
+def test_invalid_utf8_exits_2_with_a_message(tmp_path, capsys, source, bad):
+    path = tmp_path / "bad.fa"
+    path.write_bytes(b">r\nGATTACA\n" + bad)
+    assert cli.main(["search", "--pattern", "GATTACA", source, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("utd: error: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize(
     "content",
     ["", "\n", "\n" * 9, "ab" + "\n" * 9 + "cd\n\n", "abcdefghij", "a\nb\nc"],
