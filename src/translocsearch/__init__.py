@@ -11,8 +11,9 @@ Three engines report the same 1-based match end positions:
 * :func:`translocsearch.automaton.automaton_search` streams the text
   through the pattern's factor automaton in O(m^2) working memory.
 
-Each takes the text as any iterable of symbol codes and returns the list
-of 1-based match end positions, as :func:`match_ends` does.
+Each reads pattern and text symbols as they come, such as a ``str``'s
+characters, and returns the list of 1-based match end positions, as
+:func:`match_ends` does; a text symbol absent from the pattern never matches.
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
@@ -21,9 +22,13 @@ operations per pattern symbol in place of a loop over the text.  They
 are checked one by one, without an engine, until the checks of a
 stretch of overlapping windows exceed a work budget of about m^2/4 per
 window; an engine runs over the rest of the stretch.
+
+:class:`Alphabet`, :class:`Sequence`, :func:`encode` and :func:`infer_alphabet`
+map symbols to int codes; no search uses them, and they stay exported only
+because the benchmark in ``perfbench`` calls them.
 """
 from collections import Counter
-from itertools import chain, groupby, repeat
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -31,12 +36,7 @@ from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, build_dawg
 from .dp import DpColumns, dp_search
 from .oracle import enumerate_images, naive_search
-from .seqcore import (
-    Alphabet,
-    Sequence,
-    encode,
-    infer_alphabet,
-)
+from .seqcore import Alphabet, Sequence, encode, infer_alphabet
 
 __version__ = "0.1.0"
 
@@ -71,40 +71,33 @@ def match_ends(
     that :func:`_pieces` passes, each run from a fresh start, and the
     windows it checked on their own are hits without an engine.  A run's
     engine returns once the scan has passed the run, before the next chunk
-    is read.  The pattern is encoded, and the DAWG and one code lookup for
-    the runs' symbols built, only once the first run starts.  ``naive``
-    sees the whole text, so it checks the filter and the window check too;
-    it refuses patterns longer than
-    :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
+    is read.  The engines read the runs' symbols as they are; the DAWG is
+    built only once the first run starts.  ``naive`` sees the whole text,
+    so it checks the filter and the window check too; it refuses patterns
+    longer than :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
     """
     if not pattern:
         raise ValueError("empty pattern")
     chunks = (text,) if isinstance(text, str) else text
     if algo == "naive":
-        alphabet = infer_alphabet(pattern)
-        txt = chain.from_iterable(encode(chunk, alphabet).codes for chunk in chunks)
-        return naive_search(encode(pattern, alphabet), txt)
+        return naive_search(pattern, chain.from_iterable(chunks))
     if algo not in ("dp", "dawg"):
         raise ValueError(f"unknown algorithm {algo!r}")
     hits = []
-    pat = d = None
+    d = None
     for start, pieces in groupby(_pieces(pattern, chunks), itemgetter(0)):
         if start is None:  # hit ends of images checked on their own, and run ends
             for _, end in pieces:  # no generator: the group may span every later chunk
                 if end:
                     hits.append(end)
             continue
-        if pat is None:  # the first run
-            alphabet = infer_alphabet(pattern)
-            pat = encode(pattern, alphabet)
-            code = dict(zip(pattern, pat.codes)).get
-            d = build_dawg(pat) if algo == "dawg" else None
-        symbols = chain.from_iterable(map(itemgetter(1), pieces))
-        run = map(code, symbols, repeat(alphabet.sentinel))
+        run = chain.from_iterable(map(itemgetter(1), pieces))
         if algo == "dp":
-            ends = dp_search(pat, run)
+            ends = dp_search(pattern, run)
         else:
-            ends, _ = automaton_search(pat, run, d, count=False)
+            if d is None:  # the first run
+                d = build_dawg(pattern)
+            ends, _ = automaton_search(pattern, run, d, count=False)
         hits.extend(start + j for j in ends)
     return hits
 

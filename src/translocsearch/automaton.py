@@ -15,7 +15,8 @@ automaton's masks, so no new integers are made.  Conditions (a) and (b)
 then run in :meth:`DpColumns._close`, the one translocation loop both
 engines share, so the engines differ only in the chain.  Working memory is
 O(m^2) regardless of text length, and the text is consumed strictly left
-to right, one symbol at a time.
+to right, one symbol at a time.  Symbols are any hashable values, such as
+the characters of a ``str``; one absent from the pattern never matches.
 
 The step counts nothing.  Work counters are derived per column, after
 the step, from what the ring already holds (:meth:`SearchState.tally`);
@@ -23,16 +24,14 @@ only callers that want them pay for them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from types import SimpleNamespace
+from typing import Hashable, Iterable, Sequence
 
 from .dawg import ROOT, Dawg, advance_with_hops, build_dawg
 from .dp import DpColumns
-from .seqcore import Sequence
 
 
-@dataclass
-class OpCounter:
+class OpCounter(SimpleNamespace):
     """Work counters for one search stream, added once per column by
     :meth:`SearchState.tally`.
 
@@ -50,11 +49,11 @@ class OpCounter:
                       prefix excepted: |P_j| - 1
     """
 
-    delta_steps: int = 0
-    suffix_hops: int = 0
-    inner_iterations: int = 0
-    endpos_queries: int = 0
-    insertions: int = 0
+    def __init__(self, delta_steps=0, suffix_hops=0, inner_iterations=0,
+                 endpos_queries=0, insertions=0) -> None:
+        super().__init__(delta_steps=delta_steps, suffix_hops=suffix_hops,
+                         inner_iterations=inner_iterations,
+                         endpos_queries=endpos_queries, insertions=insertions)
 
 
 class SearchState(DpColumns):
@@ -62,15 +61,15 @@ class SearchState(DpColumns):
     from the factor automaton, plus the scan configuration: the state and
     length of the longest pattern factor ending at the last symbol."""
 
-    def __init__(self, pattern: Sequence, dawg: Dawg | None = None):
-        super().__init__(pattern.length)
+    def __init__(self, pattern: Sequence[Hashable], dawg: Dawg | None = None):
+        super().__init__(len(pattern))
         self.dawg = dawg if dawg is not None else build_dawg(pattern)
         self.scan_state = ROOT
         self.scan_length = 0
         self.hops = 0  # improved-link hops of the last advance
         self._sums: list[int] | None = None  # tally's ring, made on first use
 
-    def step(self, code: int) -> bool:
+    def step(self, symbol: Hashable) -> bool:
         """Consume one text symbol; true iff the whole pattern matches at
         the new position.
 
@@ -82,7 +81,7 @@ class SearchState(DpColumns):
         """
         d = self.dawg
         (u, lj), self.hops = advance_with_hops(
-            d, self.scan_state, self.scan_length, code
+            d, self.scan_state, self.scan_length, symbol
         )
         self.scan_state, self.scan_length = u, lj
         endpos = d.endpos
@@ -156,13 +155,13 @@ class SearchState(DpColumns):
 
 
 def automaton_search(
-    pattern: Sequence,
-    text: Iterable[int],
+    pattern: Sequence[Hashable],
+    text: Iterable[Hashable],
     dawg: Dawg | None = None,
     count: bool = True,
 ) -> tuple[list[int], OpCounter | None]:
-    """The 1-based match end positions in ``text``, any iterable of symbol
-    codes (streams are consumed incrementally), and the work counters.
+    """The 1-based match end positions in ``text``, any iterable of
+    symbols (streams are consumed incrementally), and the work counters.
 
     The counter is None when ``count`` is false; the search then does no
     counting work at all."""
@@ -170,8 +169,8 @@ def automaton_search(
     counter = OpCounter() if count else None
     hits = []
     step = state.step
-    for j, code in enumerate(text, start=1):
-        if step(code):
+    for j, symbol in enumerate(text, start=1):
+        if step(symbol):
             hits.append(j)
         if counter is not None:
             state.tally(counter)

@@ -27,7 +27,6 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from . import match_ends
 from .automaton import automaton_search
-from .seqcore import Sequence
 
 # every text source is read in blocks of this many characters (bytes, for a file)
 CHUNK_CHARS = 1024
@@ -192,20 +191,27 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     if "\n" in pattern_raw:
         raise ValueError("pattern may not contain a line break")
 
-    matches = []
+    matches = []  # (record ID, hit ends) per record, for JSON
     with _open_records(args) as records:
         for record in records:
             chunks = map(str.upper, record.chunks)
             ends = match_ends(pattern_raw, chunks, args.algo)
             if args.format == "json":
-                matches.extend({"record": record.id, "end": end} for end in ends)
+                matches.append((record.id, ends))
             else:
                 for end in ends:
                     out.write(f"{record.id}\t{end}\n")
 
     if args.format == "json":
-        json.dump(matches, out)
-        out.write("\n")
+        # as json.dump of the list of {"record": ID, "end": end} objects
+        out.write("[")
+        sep = ""
+        for record_id, ends in matches:
+            head = '{"record": ' + json.dumps(record_id) + ', "end": '
+            for end in ends:
+                out.write(f"{sep}{head}{end}}}")
+                sep = ", "
+        out.write("]\n")
     return 0
 
 
@@ -232,7 +238,7 @@ def bench_rows(
         for trial in range(trials):
             tseed = trial_seed(seed, m, trial)
             rng = random.Random(tseed)
-            pattern = Sequence(tuple(rng.choices(range(sigma), k=m)))
+            pattern = rng.choices(range(sigma), k=m)
             text = rng.choices(range(sigma), k=n)
             _, counter = automaton_search(pattern, text)
             cost = counter.inner_iterations / denom if denom > 0 else math.inf

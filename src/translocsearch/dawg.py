@@ -14,13 +14,12 @@ carries, per state:
 * ``endpos[q]``   bitmask of the 1-based pattern positions at which the
                   class's factors end.
 
-A pattern of length m produces at most 2m+1 states.
+A pattern of length m produces at most 2m+1 states.  Transitions are
+keyed by the pattern's own symbols, any hashable values.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .seqcore import Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 ROOT = 0
 
@@ -32,7 +31,7 @@ class Dawg(NamedTuple):
     suf: list[int]
     isuf: list[int]
     link_len: list[int]  # lens[suf[q]] with -1 for the root, for the hot loops
-    trans: list[dict[int, int]]
+    trans: list[dict[Hashable, int]]
     endpos: list[int]
 
     @property
@@ -40,7 +39,7 @@ class Dawg(NamedTuple):
         return len(self.lens)
 
 
-def build_dawg(pattern: Sequence) -> Dawg:
+def build_dawg(pattern: Sequence[Hashable]) -> Dawg:
     """Online incremental construction, one pattern symbol at a time.
 
     Cloning keeps the automaton minimal and yields suffix links and state
@@ -48,28 +47,28 @@ def build_dawg(pattern: Sequence) -> Dawg:
     by seeding each step's new state with its position and uniting the
     masks bottom-up over the suffix-link tree.
     """
-    if pattern.length == 0:
+    if len(pattern) == 0:
         raise ValueError("empty pattern")
 
     lens = [0]
     suf = [-1]
-    trans: list[dict[int, int]] = [{}]
+    trans: list[dict[Hashable, int]] = [{}]
     primary: list[int] = []  # state created at step i, i.e. the class of x[1..i]
     last = ROOT
 
-    for code in pattern.codes:
+    for symbol in pattern:
         cur = len(lens)
         lens.append(lens[last] + 1)
         suf.append(-1)
         trans.append({})
         p = last
-        while p != -1 and code not in trans[p]:
-            trans[p][code] = cur
+        while p != -1 and symbol not in trans[p]:
+            trans[p][symbol] = cur
             p = suf[p]
         if p == -1:
             suf[cur] = ROOT
         else:
-            q = trans[p][code]
+            q = trans[p][symbol]
             if lens[q] == lens[p] + 1:
                 suf[cur] = q
             else:
@@ -79,8 +78,8 @@ def build_dawg(pattern: Sequence) -> Dawg:
                 lens.append(lens[p] + 1)
                 suf.append(suf[q])
                 trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(code) == q:
-                    trans[p][code] = clone
+                while p != -1 and trans[p].get(symbol) == q:
+                    trans[p][symbol] = clone
                     p = suf[p]
                 suf[q] = clone
                 suf[cur] = clone
@@ -109,7 +108,7 @@ def build_dawg(pattern: Sequence) -> Dawg:
 
 
 def advance_with_hops(
-    dawg: Dawg, state: int, length: int, code: int
+    dawg: Dawg, state: int, length: int, symbol: Hashable
 ) -> tuple[tuple[int, int], int]:
     """Scan configuration after appending one text symbol, and the number
     of improved-link hops taken, for the engine's work counters.
@@ -119,23 +118,23 @@ def advance_with_hops(
     (ROOT, 0).  The length may be smaller than ``lens[state]``: the class
     may contain several factors and only the shorter ones end here.
 
-    If ``state`` has a transition on ``code`` the tracked factor simply
+    If ``state`` has a transition on ``symbol`` the tracked factor simply
     grows by one.  Otherwise walk improved suffix links until a state with
     such a transition appears; the new length is that state's length plus
     one, because its class value is the longest suffix of the tracked
-    factor extensible by ``code``.  With no transition anywhere on the
+    factor extensible by ``symbol``.  With no transition anywhere on the
     path, restart at the root.
     """
     trans = dawg.trans
-    target = trans[state].get(code)
+    target = trans[state].get(symbol)
     if target is not None:
         return (target, length + 1), 0
     isuf = dawg.isuf
     hops = 1
     p = isuf[state]
-    while p != -1 and code not in trans[p]:
+    while p != -1 and symbol not in trans[p]:
         p = isuf[p]
         hops += 1
     if p == -1:
         return (ROOT, 0), hops
-    return (trans[p][code], dawg.lens[p] + 1), hops
+    return (trans[p][symbol], dawg.lens[p] + 1), hops

@@ -25,13 +25,13 @@ integer (bit 0 is the always-true empty-prefix sentinel) and the F column
 is kept as the nested family of threshold sets {i : F[i,j] >= k} for
 k = 1..max(F[.,j]), one bitmask per k.  The two encodings are equivalent
 (F[i,j] is the largest k whose set contains i) and make condition (b) a
-handful of word operations per (h,k) pair.
+handful of word operations per (h,k) pair.  Symbols are any hashable
+values, such as a ``str``'s characters; one absent from the pattern has
+an empty mask, so it simply never matches.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
-from .seqcore import Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class DpColumns:
@@ -108,14 +108,23 @@ class DpColumns:
         return (p >> m) & 1 == 1
 
 
-def dp_search(pattern: Sequence, text: Iterable[int]) -> list[int]:
+def symbol_masks(pattern: Iterable[Hashable]) -> dict[Hashable, int]:
+    """The mask {i : x[i] = c} per pattern symbol c, i 1-based: bit 0 is
+    never set."""
+    masks: dict[Hashable, int] = {}
+    for i, symbol in enumerate(pattern, start=1):
+        masks[symbol] = masks.get(symbol, 0) | (1 << i)
+    return masks
+
+
+def dp_search(pattern: Sequence[Hashable], text: Iterable[Hashable]) -> list[int]:
     """All 1-based end positions where the pattern matches a text window
     after non-overlapping swaps of adjacent factor pairs.  ``text`` is any
-    iterable of symbol codes (streams are consumed incrementally)."""
-    masks = pattern.symbol_masks()
-    cols = DpColumns(pattern.length)
+    iterable of symbols (streams are consumed incrementally)."""
+    masks = symbol_masks(pattern)
+    cols = DpColumns(len(pattern))
     hits = []
-    for j, code in enumerate(text, start=1):
-        if cols.push(masks.get(code, 0)):
+    for j, symbol in enumerate(text, start=1):
+        if cols.push(masks.get(symbol, 0)):
             hits.append(j)
     return hits

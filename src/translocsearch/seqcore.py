@@ -1,60 +1,54 @@
-"""Alphabets and coded sequences shared by every engine.
-
-All positions reported to callers are 1-based: a pattern of length m
-occupies x[1..m] and a match ending at text position j means the window
-y[j-m+1..j] is involved.  Internal storage is 0-based and never leaks.
+"""Alphabets and int-coded sequences, kept for the benchmark, which hands
+the engines int codes; the engines read any symbols, so no search needs
+them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from .dp import symbol_masks
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(tuple):
     """Ordered collection of distinct symbols; a symbol's code is its index."""
 
-    symbols: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(set(self.symbols)) != len(self.symbols):
+    def __new__(cls, symbols: tuple[str, ...]) -> Alphabet:
+        self = super().__new__(cls, symbols)
+        if len(set(self)) != len(self):
             raise ValueError("alphabet symbols must be distinct")
+        return self
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return self
 
     @property
     def size(self) -> int:
-        return len(self.symbols)
+        return len(self)
 
     @property
     def sentinel(self) -> int:
-        """Code reserved for symbols outside the alphabet.
-
-        Equal to the alphabet size, so it never collides with a real code
-        and never equals any pattern symbol: unknown text characters are
-        automatic mismatches in every engine.
-        """
-        return len(self.symbols)
+        """Code reserved for symbols outside the alphabet: equal to the
+        alphabet size, so it never equals any pattern symbol's code."""
+        return len(self)
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(tuple):
     """Immutable array of symbol codes."""
 
-    codes: tuple[int, ...]
+    __slots__ = ()
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        return self
 
     @property
     def length(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.codes)
+        return len(self)
 
     def symbol_masks(self) -> dict[int, int]:
-        """Bitmask per code with bit i set iff the symbol at 1-based
-        position i carries that code.  Bit 0 is never set."""
-        masks: dict[int, int] = {}
-        for idx, code in enumerate(self.codes):
-            masks[code] = masks.get(code, 0) | (1 << (idx + 1))
-        return masks
+        """The mask {i : x[i] = c} per code c, as :func:`dp.symbol_masks`."""
+        return symbol_masks(self)
 
 
 def infer_alphabet(raw: str) -> Alphabet:
@@ -67,5 +61,4 @@ def encode(raw: str, alphabet: Alphabet) -> Sequence:
     sentinel code so they can never match a pattern symbol."""
     lookup = {s: c for c, s in enumerate(alphabet.symbols)}
     sentinel = alphabet.sentinel
-    return Sequence(tuple(lookup.get(ch, sentinel) for ch in raw))
-
+    return Sequence(lookup.get(ch, sentinel) for ch in raw)

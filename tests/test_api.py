@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 import translocsearch as ts
 from translocsearch import cli
 
-from helpers import EX2_X, EX2_Y, encode_pair
+from helpers import EX2_X, EX2_Y, encode_pair, rand_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import hk_pairs, scan_lengths  # noqa: E402
@@ -59,6 +60,34 @@ def test_empty_text_is_empty_report_everywhere():
             assert ends == expected, y
 
 
+TEXTS = {
+    "random": lambda rng, pattern, n: rand_str(rng, 3, n),
+    "unary": lambda rng, pattern, n: pattern[0] * n,
+    "period-2": lambda rng, pattern, n: (pattern[0] + pattern[-1]) * (n // 2),
+    # x and y are never pattern symbols, so they become the sentinel code
+    "foreign": lambda rng, pattern, n: "".join(rng.choice("abxy") for _ in range(n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TEXTS))
+def test_engines_read_symbols_as_they_read_codes(kind):
+    """Every engine gives the same results, counters included, on a ``str``
+    pattern and text as on their int codes."""
+    rng = random.Random(kind)
+    hits = 0
+    for trial in range(150):
+        m = 1 if trial % 5 == 0 else rng.randint(2, 8)
+        pattern = rand_str(rng, 3, m)
+        text = TEXTS[kind](rng, pattern, rng.randint(0, 40))
+        pat, txt = encode_pair(pattern, text)
+        ends = ts.dp_search(pattern, text)
+        assert ends == ts.dp_search(pat, txt), (pattern, text)
+        assert ts.automaton_search(pattern, text) == ts.automaton_search(pat, txt)
+        assert ts.naive_search(pattern, iter(text)) == ts.naive_search(pat, txt) == ends
+        hits += len(ends)
+    assert hits > 0
+
+
 def test_text_with_only_unknown_symbols():
     assert ts.match_ends("ab", "zzzz") == []
 
@@ -71,7 +100,8 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     """The benchmark times layers by swapping module globals; every traced
     call must stay reachable that way from both entry points, and neither
     engine may run through the other's layer (`SearchState` inherits
-    `DpColumns.push`)."""
+    `DpColumns.push`).  The engines read symbols as they come, so no
+    search calls `encode`; it stays importable for the benchmark."""
     fasta = tmp_path / "t.fa"
     # r3's windows are rotations of the pattern, each cheap to check
     fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n>r3\n{EX2_X * 3}\n")
@@ -96,7 +126,8 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
         tracer.uninstall()
     assert tracer.missing == []
     recorded = {tracer.names[i] for i in tracer.name_ids}
-    assert recorded == {name for name, _, _ in LAYER_CALLS}
+    assert "seqcore.encode" not in recorded
+    assert recorded == {name for name, _, _ in LAYER_CALLS} - {"seqcore.encode"}
     for algo, names in per_pass.items():
         assert other_layer[algo] not in names, algo
 

@@ -156,6 +156,25 @@ class TestSearchCommand:
             {"record": "stdin", "end": 12}
         ]
 
+    @pytest.mark.parametrize(
+        "fasta, hits",
+        [(">r1\nabbaab\n>none\nzzzz\n>r\"3\\\u00e9 x\nbaab\n", 5), (">a\nzz\n>b\n\n", 0)],
+        ids=["hits", "no-hits"],
+    )
+    def test_json_is_json_dump_of_the_hits(self, tmp_path, capsys, fasta, hits):
+        """JSON output is byte for byte ``json.dump`` of one object per TSV
+        line, record IDs escaped as JSON strings, ``[]`` without hits."""
+        path = tmp_path / "r.fa"
+        path.write_text(fasta, encoding="utf-8")
+        argv = ["search", "--pattern", "ab", "--fasta", str(path)]
+        assert main(argv) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        expected = io.StringIO()
+        json.dump([{"record": rid, "end": int(end)} for rid, end in rows], expected)
+        assert main([*argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == expected.getvalue() + "\n"
+        assert len(rows) == hits
+
     def test_fasta_records_independent(self, tmp_path, capsys):
         fasta = tmp_path / "two.fa"
         fasta.write_text(">one\nabc\n>two\nxyz\n")
@@ -280,6 +299,20 @@ class TestBenchCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_rows_are_pinned(self, capsys):
+        """The counters of a seeded run, as first recorded; any change to
+        the engines or the symbols drawn shows here."""
+        argv = ["bench", "--m", "4,16", "--n", "500", "--sigma", "4",
+                "--trials", "2", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"{CSV_HEADER}\n"
+            "4,500,4,12885164032,434,75,756,511,1.512000\n"
+            "4,500,4,12885164033,455,53,630,425,1.260000\n"
+            "16,500,4,12885950464,385,283,2273,1409,1.136500\n"
+            "16,500,4,12885950465,402,391,2889,1880,1.444500\n"
+        )
+
     def test_different_seeds_differ(self, capsys):
         base = ["bench", "--m", "8", "--n", "500", "--sigma", "2",
                 "--trials", "1"]
@@ -320,12 +353,13 @@ class TestBenchCommand:
 
 
 def cold_import_loads(module: str) -> bool:
-    """Whether a fresh interpreter that imports the CLI has ``module`` loaded."""
+    """Whether a fresh interpreter that imports the CLI has ``module`` loaded;
+    ``-S`` keeps the environment's site hooks out of the import graph."""
     src = str(Path(translocsearch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = f"import sys, translocsearch.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
     return done.stdout.strip() == "True"
@@ -358,6 +392,13 @@ def test_importing_cli_leaves_numpy_unloaded():
 
 def test_importing_cli_leaves_gzip_unloaded():
     assert not cold_import_loads("gzip")
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_importing_cli_leaves_introspection_unloaded(module):
+    """Importing ``dataclasses`` loads ``inspect``, a cost paid at every
+    start of `utd`; no module of the package needs either."""
+    assert not cold_import_loads(module)
 
 
 def test_repeated_searches_build_the_parser_once(monkeypatch, capsys):

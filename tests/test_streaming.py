@@ -866,10 +866,10 @@ def test_a_run_ends_once_the_scan_passes_it(monkeypatch):
         assert run_ends(text[:-4]) == runs - 1  # the last run ends with the text
 
 
-def test_search_encodes_only_the_pattern(tmp_path, monkeypatch):
+def test_search_encodes_nothing(tmp_path, monkeypatch):
     """A search whose runs start hundreds of pieces, one per line of a FASTA
-    file at line width 1, calls `encode` once, for the pattern: the runs'
-    symbols are mapped through one code lookup per search."""
+    file at line width 1, never calls `encode`: the engines read the runs'
+    symbols as they are."""
     pattern = "A" * 11 + "C"
     seq = (pattern * 6 + "G" + pattern * 5).lower()
     fasta = tmp_path / "width-1.fa"
@@ -882,6 +882,7 @@ def test_search_encodes_only_the_pattern(tmp_path, monkeypatch):
         return real(raw, alphabet)
 
     monkeypatch.setattr(translocsearch, "encode", spy)
+    monkeypatch.setattr(translocsearch.seqcore, "encode", spy)
     calls = Counter()
     count_calls(monkeypatch, calls, translocsearch, "dp_search", "dp")
     count_calls(monkeypatch, calls, translocsearch, "automaton_search", "dawg")
@@ -889,7 +890,7 @@ def test_search_encodes_only_the_pattern(tmp_path, monkeypatch):
         encoded.clear()
         out = run_search(["--pattern", pattern, "--fasta", str(fasta), "--algo", algo])
         assert out.count("\n") == 110 and calls[algo] > 1, (algo, calls)
-        assert encoded == [pattern], algo
+        assert encoded == [], algo
 
 
 @pytest.mark.parametrize("fmt, stdout", [("tsv", "r1\t7\nr2\t7\n"), ("json", "")])
