@@ -352,15 +352,15 @@ class TestBenchCommand:
         assert len(seeds) == 15
 
 
-def cold_import_loads(module: str) -> bool:
-    """Whether a fresh interpreter that imports the CLI has ``module`` loaded;
-    ``-S`` keeps the environment's site hooks out of the import graph."""
+def cold_import_loads(module: str, *flags: str) -> bool:
+    """Whether a fresh interpreter, started with ``flags``, that imports the
+    CLI has ``module`` loaded."""
     src = str(Path(translocsearch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = f"import sys, translocsearch.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, *flags, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
     )
     return done.stdout.strip() == "True"
 
@@ -397,8 +397,9 @@ def test_importing_cli_leaves_gzip_unloaded():
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_importing_cli_leaves_introspection_unloaded(module):
     """Importing ``dataclasses`` loads ``inspect``, a cost paid at every
-    start of `utd`; no module of the package needs either."""
-    assert not cold_import_loads(module)
+    start of `utd`; no module of the package needs either. ``-S`` keeps the
+    environment's site hooks, which may import them, out of the graph."""
+    assert not cold_import_loads(module, "-S")
 
 
 def test_repeated_searches_build_the_parser_once(monkeypatch, capsys):
