@@ -23,9 +23,9 @@ are checked one by one, without an engine, until the checks of a
 stretch of overlapping windows exceed a work budget of about m^2/4 per
 window; an engine runs over the rest of the stretch.
 
-:class:`Alphabet`, :class:`Sequence`, :func:`encode` and :func:`infer_alphabet`
-map symbols to int codes; no search uses them, and they stay exported only
-because the benchmark in ``perfbench`` calls them.
+:func:`encode` and :func:`infer_alphabet` map symbols to int codes; no
+search uses them, and they stay importable only for the benchmark in
+``perfbench``.
 """
 from collections import Counter
 from itertools import chain, groupby
@@ -36,17 +36,15 @@ from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, build_dawg
 from .dp import DpColumns, dp_search
 from .oracle import enumerate_images, naive_search
-from .seqcore import Alphabet, Sequence, encode, infer_alphabet
+from .seqcore import encode, infer_alphabet
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "Dawg",
     "DpColumns",
     "OpCounter",
     "SearchState",
-    "Sequence",
     "automaton_search",
     "build_dawg",
     "dp_search",

@@ -123,8 +123,18 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
 def _load_pattern(args: argparse.Namespace) -> str:
     if args.pattern is not None:
         return args.pattern
-    with open(args.pattern_file, encoding="utf-8") as fh:
+    with open(args.pattern_file, encoding="utf-8-sig") as fh:
         return fh.read().strip()
+
+
+def _upper(text: str) -> str:
+    """``text`` uppercased symbol by symbol: a symbol whose uppercase is
+    longer, such as ß (SS), stays as it is.  No uppercase is shorter, so
+    ``text.upper()`` of the same length has every symbol in its place."""
+    upper = text.upper()
+    if len(upper) == len(text):
+        return upper
+    return "".join(u if len(u := c.upper()) == 1 else c for c in text)
 
 
 @contextmanager
@@ -132,8 +142,9 @@ def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
     """The records of the text source, readable inside the ``with`` block."""
     if args.text is not None:
         yield [FastaRecord("stdin", (args.text,))]
-    elif args.text_file == "-":
-        yield [FastaRecord("stdin", iter(partial(sys.stdin.read, CHUNK_CHARS), ""))]
+    elif args.text_file == "-":  # read as a file is, and left open
+        stdin = _Utf8File(sys.stdin.buffer)
+        yield [FastaRecord("stdin", iter(partial(stdin.read, CHUNK_CHARS), ""))]
     elif args.text_file is not None:
         with _open_text(args.text_file) as fh:
             yield [FastaRecord(args.text_file, iter(partial(fh.read, CHUNK_CHARS), ""))]
@@ -146,11 +157,11 @@ class _Utf8File:
     """A binary file read as UTF-8 text with universal newlines, as ``open``
     reads it, but through no buffer of its own: each ``read(size)`` decodes
     reads of at most ``size`` bytes until one completes a character or the
-    file ends."""
+    file ends.  A leading byte-order mark is skipped."""
 
     def __init__(self, raw: BinaryIO) -> None:
         self.raw = raw
-        utf8 = codecs.getincrementaldecoder("utf-8")()
+        utf8 = codecs.getincrementaldecoder("utf-8-sig")()
         self.decode = io.IncrementalNewlineDecoder(utf8, translate=True).decode
 
     def read(self, size: int) -> str:
@@ -183,7 +194,7 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     """TSV lines are written as each record finishes, so an error in a
     later record leaves them in place; JSON is written once, at the end."""
     # the pattern and every text source are uppercased, chunk by chunk
-    pattern_raw = _load_pattern(args).upper()
+    pattern_raw = _upper(_load_pattern(args))
     if not pattern_raw:
         raise ValueError("empty pattern")
     # text files are read with their newlines, so a pattern without one
@@ -194,7 +205,7 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     matches = []  # (record ID, hit ends) per record, for JSON
     with _open_records(args) as records:
         for record in records:
-            chunks = map(str.upper, record.chunks)
+            chunks = map(_upper, record.chunks)
             ends = match_ends(pattern_raw, chunks, args.algo)
             if args.format == "json":
                 matches.append((record.id, ends))

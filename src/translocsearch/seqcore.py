@@ -1,7 +1,6 @@
-"""Alphabets and int-coded sequences, kept for the benchmark, which hands
-the engines int codes; the engines read any symbols, so no search needs
-them.
-"""
+"""Int codes for symbols, kept only for the benchmark in ``perfbench``: the
+engines read symbols as they come, so no search encodes.  A code is a
+symbol's index in its alphabet, or the alphabet's size outside it."""
 from __future__ import annotations
 
 from .dp import symbol_masks
@@ -19,17 +18,7 @@ class Alphabet(tuple):
         return self
 
     @property
-    def symbols(self) -> tuple[str, ...]:
-        return self
-
-    @property
     def size(self) -> int:
-        return len(self)
-
-    @property
-    def sentinel(self) -> int:
-        """Code reserved for symbols outside the alphabet: equal to the
-        alphabet size, so it never equals any pattern symbol's code."""
         return len(self)
 
 
@@ -57,8 +46,8 @@ def infer_alphabet(raw: str) -> Alphabet:
 
 
 def encode(raw: str, alphabet: Alphabet) -> Sequence:
-    """Map characters to codes; characters missing from the alphabet get the
-    sentinel code so they can never match a pattern symbol."""
-    lookup = {s: c for c, s in enumerate(alphabet.symbols)}
-    sentinel = alphabet.sentinel
-    return Sequence(lookup.get(ch, sentinel) for ch in raw)
+    """Map characters to codes; a character missing from the alphabet gets
+    ``len(alphabet)``, which no pattern symbol's code equals."""
+    lookup = {s: c for c, s in enumerate(alphabet)}
+    foreign = len(alphabet)
+    return Sequence(lookup.get(ch, foreign) for ch in raw)

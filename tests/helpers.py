@@ -1,4 +1,4 @@
-"""Shared test utilities: string-level wrappers, brute-force oracles and
+"""Shared test utilities: example strings, brute-force oracles and
 inspection helpers for the engines' internal structures.
 
 The oracles here are deliberately naive (window scans, substring tests)
@@ -6,15 +6,15 @@ so they stay independent of the code paths they verify.
 """
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from translocsearch import _is_image
 from translocsearch.automaton import OpCounter
 from translocsearch.dawg import ROOT, Dawg, advance_with_hops, build_dawg
-from translocsearch.dp import DpColumns
-from translocsearch.seqcore import Alphabet, Sequence, encode, infer_alphabet
+from translocsearch.dp import DpColumns, symbol_masks
 
 LETTERS = "abcdefghijklmnopqrst"
 
@@ -24,11 +24,9 @@ EX3_X, EX3_Y = "cattcatgatcat", "atcatgacttactgactta"
 EX4_X, EX4_Y = "aggga", "aggagcatgggactaga"
 
 
-def encode_pair(pattern: str, text: str) -> tuple[Sequence, Sequence]:
-    """Encode both strings against the pattern's alphabet; text characters
-    the pattern lacks become the sentinel code."""
-    alphabet = infer_alphabet(pattern)
-    return encode(pattern, alphabet), encode(text, alphabet)
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` whose bytes are ``text`` in UTF-8."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def rand_str(rng: random.Random, sigma: int, length: int) -> str:
@@ -85,33 +83,27 @@ def endpos_positions(dawg: Dawg, state: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def walk(dawg: Dawg, codes: tuple[int, ...] | list[int]) -> int | None:
-    """State reached from the root reading ``codes``; None if not a factor."""
+def walk(dawg: Dawg, symbols: Iterable[Hashable]) -> int | None:
+    """State reached from the root reading ``symbols``; None if not a factor."""
     state = ROOT
-    for code in codes:
-        nxt = dawg.trans[state].get(code)
+    for symbol in symbols:
+        nxt = dawg.trans[state].get(symbol)
         if nxt is None:
             return None
         state = nxt
     return state
 
 
-def dump(dawg: Dawg, alphabet: Alphabet | None = None) -> str:
+def dump(dawg: Dawg) -> str:
     """Plain-text edge list plus suffix-link list, for golden-file tests.
 
-    One ``src -> dst [symbol]`` line per transition, then one
-    ``suf src -> dst`` line per non-root state.
+    One ``src -> dst [symbol]`` line per transition, in symbol order, then
+    one ``suf src -> dst`` line per non-root state.
     """
-
-    def sym(code: int) -> str:
-        if alphabet is not None and code < alphabet.size:
-            return alphabet.symbols[code]
-        return str(code)
-
     lines = []
     for src, edges in enumerate(dawg.trans):
-        for code in sorted(edges):
-            lines.append(f"{src} -> {edges[code]} [{sym(code)}]")
+        for symbol in sorted(edges):
+            lines.append(f"{src} -> {edges[symbol]} [{symbol}]")
     for q in range(1, dawg.state_count):
         lines.append(f"suf {q} -> {dawg.suf[q]}")
     return "\n".join(lines)
@@ -174,7 +166,7 @@ def suffix_state(dawg: Dawg, state: int, k: int) -> int:
     return state
 
 
-def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
+def reference_counts(pattern: str, text: Iterable[str]) -> OpCounter:
     """The automaton engine's work counters, recomputed without it: the
     F and P columns come from a plain DP run, l_j and |P_j| are read from
     them cell by cell, and the (h, k) pairs are enumerated one by one.
@@ -184,17 +176,17 @@ def reference_counts(pattern: Sequence, text: Iterable[int]) -> OpCounter:
     distinct state suffix_state(q_j, k), k = 1..l_j, once, hopping between
     them.
     """
-    m = pattern.length
+    m = len(pattern)
     dawg = build_dawg(pattern)
-    masks = pattern.symbol_masks()
+    masks = symbol_masks(pattern)
     cols = DpColumns(m)
     counter = OpCounter()
     state, length = ROOT, 0
     lengths = [0]  # l_j, the deepest F level of column j
     sizes = [1]  # |P_j|; P_0 holds only the empty prefix
-    for code in text:
-        (state, length), hops = advance_with_hops(dawg, state, length, code)
-        cols.push(masks.get(code, 0))
+    for symbol in text:
+        (state, length), hops = advance_with_hops(dawg, state, length, symbol)
+        cols.push(masks.get(symbol, 0))
         j = cols.pos
         lengths.append(max(f_value(cols, i, j) for i in range(m + 1)))
         sizes.append(len(p_column(cols, j)))
@@ -264,7 +256,7 @@ def image_count_bound(upto: int) -> list[int]:
     return vals
 
 
-def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: int, yj: int) -> bool:
+def prefix_match_cell(cols: DpColumns, i: int, j: int, xi: str, yj: str) -> bool:
     """P cell recurrence evaluated literally from stored columns.
 
     Reference semantics for the column engine; quadratic per cell.

@@ -10,9 +10,8 @@ import statistics
 from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
 from translocsearch.dawg import build_dawg
-from translocsearch.dp import DpColumns, dp_search
+from translocsearch.dp import DpColumns, dp_search, symbol_masks
 from translocsearch.oracle import enumerate_images, naive_search
-from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import (
     EX1_X,
@@ -21,7 +20,6 @@ from helpers import (
     EX3_X,
     EX3_Y,
     bits,
-    encode_pair,
     endpos_positions,
     f_set,
     image_count_bound,
@@ -36,11 +34,10 @@ def report(num: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_1_dawg_golden_example():
-    alphabet = infer_alphabet(EX1_X)
-    d = build_dawg(encode(EX1_X, alphabet))
+    d = build_dawg(EX1_X)
 
     def state(w):
-        return walk(d, encode(w, alphabet).codes)
+        return walk(d, w)
 
     ok = (
         endpos_positions(d, state("ag")) == {2, 5, 9}
@@ -54,22 +51,20 @@ def test_criterion_1_dawg_golden_example():
 
 
 def test_criterion_2_all_engines_on_known_match():
-    pat, txt = encode_pair(EX2_X, EX2_Y)
-    naive = naive_search(pat, txt)
-    dp = dp_search(pat, txt)
-    dawg, _ = automaton_search(pat, txt)
+    naive = naive_search(EX2_X, EX2_Y)
+    dp = dp_search(EX2_X, EX2_Y)
+    dawg, _ = automaton_search(EX2_X, EX2_Y)
     ok = naive == dp == dawg == [12]
     assert report(2, ok, f"three engines report {{12}}: {naive} {dp} {dawg}")
 
 
 def test_criterion_3_common_suffix_sets_both_routes():
-    pat, txt = encode_pair(EX3_X, EX3_Y)
-    masks = pat.symbol_masks()
-    cols = DpColumns(pat.length)
-    state = SearchState(pat)
-    for code in txt.codes[:5]:
-        cols.push(masks.get(code, 0))
-        state.step(code)
+    masks = symbol_masks(EX3_X)
+    cols = DpColumns(len(EX3_X))
+    state = SearchState(EX3_X)
+    for symbol in EX3_Y[:5]:
+        cols.push(masks.get(symbol, 0))
+        state.step(symbol)
     dp3, dp2 = bits(f_set(cols, 5, 3)), bits(f_set(cols, 5, 2))
     au3, au2 = bits(f_set(state, 5, 3)), bits(f_set(state, 5, 2))
     ok = dp3 == au3 == {3, 7, 13} and dp2 == au2 == {3, 7, 10, 13}
@@ -86,10 +81,9 @@ def test_criterion_4_oracle_equivalence_small_scale():
         n = rng.randint(m, 20)
         x = rand_str(rng, sigma, m)
         y = rand_str(rng, sigma, n)
-        pat, txt = encode_pair(x, y)
-        expected = naive_search(pat, txt)
-        got_dp = dp_search(pat, txt)
-        got_dawg, _ = automaton_search(pat, txt)
+        expected = naive_search(x, y)
+        got_dp = dp_search(x, y)
+        got_dawg, _ = automaton_search(x, y)
         if not (expected == got_dp == got_dawg):
             mismatches += 1
     ok = mismatches == 0
@@ -105,9 +99,8 @@ def test_criterion_5_engine_equivalence_at_scale():
         n = rng.randint(m, 5000)
         x = rand_str(rng, sigma, m)
         y = rand_str(rng, sigma, n)
-        pat, txt = encode_pair(x, y)
-        got_dp = dp_search(pat, txt)
-        got_dawg, _ = automaton_search(pat, txt)
+        got_dp = dp_search(x, y)
+        got_dawg, _ = automaton_search(x, y)
         if got_dp != got_dawg:
             mismatches += 1
     ok = mismatches == 0
@@ -124,7 +117,7 @@ def test_criterion_6_image_count_recursion_and_bound():
     enum_ok = True
     for length in range(1, 11):
         s = "abcdefghij"[:length]
-        count = len(enumerate_images(encode(s, infer_alphabet(s))))
+        count = len(enumerate_images(s))
         counts[length] = count
         enum_ok = enum_ok and count <= 3 ** (length - 1)
 
@@ -146,7 +139,7 @@ def test_criterion_7_dawg_structural_bounds():
         sigma = rng.choice([2, 4, 20])
         m = rng.randint(1, 1000)
         x = rand_str(rng, sigma, m)
-        d = build_dawg(encode(x, infer_alphabet(x)))
+        d = build_dawg(x)
         if d.state_count > 2 * m + 1:
             ok = False
         # lengths strictly decrease along every suffix path iff they do
@@ -216,15 +209,14 @@ def test_criterion_8_average_case_scaling_shape():
 def test_criterion_9_working_memory_independent_of_text_length():
     rng = random.Random(20_240_004)
     x = rand_str(rng, 4, 64)
-    pat = encode(x, infer_alphabet(x))
     footprints = []
     for n in (1_000, 1_000_000):
-        state = SearchState(pat)
+        state = SearchState(x)
         gen = random.Random(20_240_005)
         step = state.step
         for _ in range(n):
-            step(gen.randrange(4))
-        assert all(p.bit_length() <= pat.length + 1 for p in state._p)
+            step(gen.choice("abcd"))
+        assert all(p.bit_length() <= len(x) + 1 for p in state._p)
         footprints.append(state.footprint())
     ok = footprints[0] == footprints[1]
     assert report(9, ok, f"m=64 footprints for n=1e3 and n=1e6: "

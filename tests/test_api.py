@@ -1,13 +1,14 @@
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import translocsearch as ts
 from translocsearch import cli
 
-from helpers import EX2_X, EX2_Y, encode_pair, rand_str
+from helpers import EX2_X, EX2_Y, rand_str
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import hk_pairs, scan_lengths  # noqa: E402
@@ -48,12 +49,11 @@ def test_single_character_pattern_and_text():
 def test_empty_text_is_empty_report_everywhere():
     """Every search returns a plain list of 1-based ends, the same one."""
     for y, expected in ((EX2_Y, [12]), ("", [])):
-        pat, txt = encode_pair(EX2_X, y)
         results = [
-            ts.naive_search(pat, txt),
-            ts.dp_search(pat, txt),
-            ts.automaton_search(pat, txt, count=True)[0],
-            ts.automaton_search(pat, txt, count=False)[0],
+            ts.naive_search(EX2_X, y),
+            ts.dp_search(EX2_X, y),
+            ts.automaton_search(EX2_X, y, count=True)[0],
+            ts.automaton_search(EX2_X, y, count=False)[0],
         ] + [ts.match_ends(EX2_X, y, algo) for algo in ("naive", "dp", "dawg")]
         for ends in results:
             assert type(ends) is list
@@ -64,7 +64,7 @@ TEXTS = {
     "random": lambda rng, pattern, n: rand_str(rng, 3, n),
     "unary": lambda rng, pattern, n: pattern[0] * n,
     "period-2": lambda rng, pattern, n: (pattern[0] + pattern[-1]) * (n // 2),
-    # x and y are never pattern symbols, so they become the sentinel code
+    # x and y are never pattern symbols: as codes they get the alphabet's size
     "foreign": lambda rng, pattern, n: "".join(rng.choice("abxy") for _ in range(n)),
 }
 
@@ -79,7 +79,8 @@ def test_engines_read_symbols_as_they_read_codes(kind):
         m = 1 if trial % 5 == 0 else rng.randint(2, 8)
         pattern = rand_str(rng, 3, m)
         text = TEXTS[kind](rng, pattern, rng.randint(0, 40))
-        pat, txt = encode_pair(pattern, text)
+        alphabet = ts.infer_alphabet(pattern)
+        pat, txt = ts.encode(pattern, alphabet), ts.encode(text, alphabet)
         ends = ts.dp_search(pattern, text)
         assert ends == ts.dp_search(pat, txt), (pattern, text)
         assert ts.automaton_search(pattern, text) == ts.automaton_search(pat, txt)
@@ -144,7 +145,9 @@ def test_search_paths_do_not_count(tmp_path, monkeypatch):
 
 
 def test_endpos_queries_equal_the_benchmark_pair_count():
-    pat, txt = encode_pair(EX2_X, EX2_Y * 5 + EX2_X[::-1] * 3)
-    d = ts.build_dawg(pat)
-    _, counter = ts.automaton_search(pat, txt, d)
-    assert counter.endpos_queries == hk_pairs(scan_lengths(ts, d, txt), pat.length) > 0
+    text = EX2_Y * 5 + EX2_X[::-1] * 3
+    d = ts.build_dawg(EX2_X)
+    _, counter = ts.automaton_search(EX2_X, text, d)
+    # the benchmark's scan reads any sequence of symbols, passed as its codes
+    lengths = scan_lengths(ts, d, SimpleNamespace(codes=text))
+    assert counter.endpos_queries == hk_pairs(lengths, len(EX2_X)) > 0

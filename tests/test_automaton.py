@@ -5,9 +5,8 @@ import pytest
 
 from translocsearch.automaton import OpCounter, SearchState, automaton_search
 from translocsearch.dawg import ROOT, Dawg, advance_with_hops, build_dawg
-from translocsearch.dp import DpColumns, dp_search
+from translocsearch.dp import DpColumns, dp_search, symbol_masks
 from translocsearch.oracle import naive_search
-from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import (
     EX2_X,
@@ -16,9 +15,9 @@ from helpers import (
     EX3_Y,
     EX4_X,
     EX4_Y,
+    LETTERS,
     bits,
     brute_factor_suffix_ends,
-    encode_pair,
     f_set,
     p_column,
     rand_str,
@@ -27,69 +26,58 @@ from helpers import (
 )
 
 
-def search_str(x: str, y: str):
-    pat, txt = encode_pair(x, y)
-    return automaton_search(pat, txt)
-
-
 class TestSearch:
     def test_known_two_swap_match(self):
-        ends, _ = search_str(EX2_X, EX2_Y)
+        ends, _ = automaton_search(EX2_X, EX2_Y)
         assert ends == [12]
 
     def test_interior_exact_occurrence(self):
-        ends, _ = search_str("abc", "xabcx")
+        ends, _ = automaton_search("abc", "xabcx")
         assert ends == [4]
 
     def test_unequal_length_swap(self):
-        ends, _ = search_str("abc", "bca")
+        ends, _ = automaton_search("abc", "bca")
         assert ends == [3]
 
     def test_agrees_with_dp_on_example_strings(self):
-        pat, txt = encode_pair(EX4_X, EX4_Y)
-        ends, _ = automaton_search(pat, txt)
-        assert ends == dp_search(pat, txt)
+        ends, _ = automaton_search(EX4_X, EX4_Y)
+        assert ends == dp_search(EX4_X, EX4_Y)
 
-    def test_accepts_plain_iterable_of_codes(self):
-        pat, txt = encode_pair("ab", "ba")
-        ends, _ = automaton_search(pat, iter(txt.codes))
+    def test_accepts_plain_iterable_of_symbols(self):
+        ends, _ = automaton_search("ab", iter("ba"))
         assert ends == [2]
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="empty pattern"):
-            SearchState(encode("", infer_alphabet("")))
+            SearchState("")
 
 
 class TestStep:
     def test_symbol_outside_pattern(self):
-        alphabet = infer_alphabet("abc")
-        state = SearchState(encode("abc", alphabet))
-        matched = state.step(alphabet.sentinel)
+        state = SearchState("abc")
+        matched = state.step("d")
         assert matched is False
         assert (state.scan_state, state.scan_length) == (ROOT, 0)
         assert p_column(state, 1) == {0}
 
     def test_first_position_extension_only(self):
-        pat, txt = encode_pair("ab", "ab")
-        state = SearchState(pat)
-        state.step(txt.codes[0])
+        state = SearchState("ab")
+        state.step("a")
         assert p_column(state, 1) == {0, 1}
 
     def test_single_swap_hand_trace(self):
-        pat, txt = encode_pair("ab", "ba")
-        state = SearchState(pat)
-        assert state.step(txt.codes[0]) is False
+        state = SearchState("ab")
+        assert state.step("b") is False
         assert p_column(state, 1) == {0}
-        assert state.step(txt.codes[1]) is True
+        assert state.step("a") is True
         assert 2 in p_column(state, 2)
 
     def test_counters_monotone(self):
-        pat, txt = encode_pair(EX2_X, EX2_Y + EX2_Y)
-        state = SearchState(pat)
+        state = SearchState(EX2_X)
         c = OpCounter()
         last = (0, 0, 0, 0, 0)
-        for code in txt.codes:
-            state.step(code)
+        for symbol in EX2_Y + EX2_Y:
+            state.step(symbol)
             state.tally(c)
             now = (
                 c.delta_steps,
@@ -107,17 +95,16 @@ class TestTallyGuard:
     column, so it refuses to count a stream it did not follow from there."""
 
     def test_refuses_before_any_step(self):
-        state = SearchState(encode_pair("abc", "")[0])
+        state = SearchState("abc")
         counter = OpCounter()
         with pytest.raises(RuntimeError, match="every step from the first"):
             state.tally(counter)
         assert counter == OpCounter()
 
     def test_refuses_after_untallied_steps(self):
-        pat, txt = encode_pair("abc", "abcab")
-        state = SearchState(pat)
-        for code in txt.codes[:2]:
-            state.step(code)
+        state = SearchState("abc")
+        for symbol in "abcab"[:2]:
+            state.step(symbol)
         counter = OpCounter()
         with pytest.raises(RuntimeError, match="every step from the first"):
             state.tally(counter)
@@ -126,25 +113,22 @@ class TestTallyGuard:
 
 class TestFactorEndSets:
     def test_example_text_prefix(self):
-        pat, txt = encode_pair(EX3_X, EX3_Y)
-        state = SearchState(pat)
-        for code in txt.codes[:5]:
-            state.step(code)
+        state = SearchState(EX3_X)
+        for symbol in EX3_Y[:5]:
+            state.step(symbol)
         assert bits(f_set(state, 5, 3)) == {3, 7, 13}
         assert bits(f_set(state, 5, 2)) == {3, 7, 10, 13}
 
     def test_full_length_equals_state_end_positions(self):
-        pat, txt = encode_pair(EX3_X, EX3_Y)
-        state = SearchState(pat)
-        for code in txt.codes[:5]:
-            state.step(code)
+        state = SearchState(EX3_X)
+        for symbol in EX3_Y[:5]:
+            state.step(symbol)
         assert f_set(state, 5, state.scan_length) == state.dawg.endpos[state.scan_state]
 
     def test_too_long_suffix_gives_empty_set(self):
-        pat, txt = encode_pair("ab", "zzz")
-        state = SearchState(pat)
-        for code in txt.codes:
-            state.step(code)
+        state = SearchState("ab")
+        for symbol in "zzz":
+            state.step(symbol)
         assert f_set(state, 3, 1) == 0
         assert f_set(state, 3, 2) == 0
 
@@ -154,10 +138,9 @@ class TestFactorEndSets:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 10))
             y = rand_str(rng, sigma, rng.randint(0, 30))
-            pat, txt = encode_pair(x, y)
-            state = SearchState(pat)
-            for j, code in enumerate(txt.codes, start=1):
-                state.step(code)
+            state = SearchState(x)
+            for j, symbol in enumerate(y, start=1):
+                state.step(symbol)
                 for k in range(1, state.scan_length + 1):
                     assert bits(f_set(state, j, k)) == (
                         brute_factor_suffix_ends(x, y[:j], k)
@@ -172,7 +155,7 @@ class TestCountdownWalk:
         rng = random.Random(59)
         for _ in range(20):
             x = rand_str(rng, rng.choice([2, 4]), rng.randint(1, 16))
-            d = build_dawg(encode(x, infer_alphabet(x)))
+            d = build_dawg(x)
             for q in range(1, d.state_count):
                 low = d.lens[d.suf[q]] + 1
                 for start in range(low, d.lens[q] + 1):
@@ -190,9 +173,8 @@ class TestEquivalence:
             sigma = rng.choice([2, 4, 20])
             x = rand_str(rng, sigma, rng.randint(1, 16))
             y = rand_str(rng, sigma, rng.randint(0, 200))
-            pat, txt = encode_pair(x, y)
-            ends, _ = automaton_search(pat, txt)
-            assert ends == dp_search(pat, txt), (x, y)
+            ends, _ = automaton_search(x, y)
+            assert ends == dp_search(x, y), (x, y)
 
     def test_against_enumeration_oracle_random(self):
         rng = random.Random(83)
@@ -200,44 +182,40 @@ class TestEquivalence:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 8))
             y = rand_str(rng, sigma, rng.randint(len(x), 20))
-            pat, txt = encode_pair(x, y)
-            ends, _ = automaton_search(pat, txt)
-            assert ends == naive_search(pat, txt)
+            ends, _ = automaton_search(x, y)
+            assert ends == naive_search(x, y)
 
 
 class TestResourceBounds:
     def test_footprint_independent_of_text_length(self):
         rng = random.Random(97)
         x = rand_str(rng, 4, 16)
-        pat = encode(x, infer_alphabet(x))
         footprints = []
         for n in (1_000, 5_000):
-            state = SearchState(pat)
+            state = SearchState(x)
             r = random.Random(5)
             for _ in range(n):
-                state.step(r.randrange(4))
+                state.step(r.choice(LETTERS[:4]))
             # every live mask stays within its m+1-bit budget
-            assert all(p.bit_length() <= pat.length + 1 for p in state._p)
+            assert all(p.bit_length() <= len(x) + 1 for p in state._p)
             footprints.append(state.footprint())
         assert footprints[0] == footprints[1]
 
     def test_unary_worst_case_step_bound(self):
         m, n = 6, 24
-        pat, txt = encode_pair("a" * m, "a" * n)
-        state = SearchState(pat)
+        state = SearchState("a" * m)
         counter = OpCounter()
         bound = (m + 1) * m * (m + 1)
         before = 0
-        for code in txt.codes:
-            state.step(code)
+        for symbol in "a" * n:
+            state.step(symbol)
             state.tally(counter)
             after = counter.inner_iterations
             assert after - before <= bound
             before = after
 
     def test_disjoint_alphabets_do_no_inner_work(self):
-        pat, txt = encode_pair("aaa", "bbbbbbbb")
-        ends, counter = automaton_search(pat, txt)
+        ends, counter = automaton_search("aaa", "bbbbbbbb")
         assert ends == []
         assert counter.inner_iterations == 0
 
@@ -267,15 +245,14 @@ GOLDEN_COUNTERS = {
 @pytest.mark.parametrize("name", GOLDEN_COUNTERS)
 def test_counters_on_golden_inputs(name):
     x, y = golden_inputs()[name]
-    pat, txt = encode_pair(x, y)
-    ends, counter = automaton_search(pat, txt)
+    ends, counter = automaton_search(x, y)
     hits, expected = GOLDEN_COUNTERS[name]
     assert (len(ends), counter) == (hits, expected)
-    assert counter == reference_counts(pat, txt)
-    d = build_dawg(pat)
+    assert counter == reference_counts(x, y)
+    d = build_dawg(x)
     q, length, total_l = ROOT, 0, 0
-    for code in txt:
-        (q, length), _ = advance_with_hops(d, q, length, code)
+    for symbol in y:
+        (q, length), _ = advance_with_hops(d, q, length, symbol)
         total_l += length
     assert counter.suffix_hops <= total_l
 
@@ -315,11 +292,10 @@ def test_engines_differ_only_in_the_chain_source(kind):
     automaton; both then close the column with the same loop.  Stepped side
     by side, they return the same bit and leave the same F and P columns."""
     for x, y in lockstep_cases(kind):
-        pat, txt = encode_pair(x, y)
-        masks = pat.symbol_masks()
-        cols, state = DpColumns(pat.length), SearchState(pat)
-        for j, code in enumerate(txt.codes, start=1):
-            assert cols.push(masks.get(code, 0)) == state.step(code), (x, y, j)
+        masks = symbol_masks(x)
+        cols, state = DpColumns(len(x)), SearchState(x)
+        for j, symbol in enumerate(y, start=1):
+            assert cols.push(masks.get(symbol, 0)) == state.step(symbol), (x, y, j)
             slot = j % cols.cap
             assert cols._f[slot] == state._f[slot], (x, y, j)
             assert cols._p[slot] == state._p[slot], (x, y, j)
@@ -333,12 +309,10 @@ def test_searches_leave_a_shared_dawg_unchanged():
     x = rand_str(rng, 2, 12)
     first = rand_str(rng, 2, 300)
     second = rand_str(rng, 2, 150) + x[5:] + x[:5] + ("ab" * 80)
-    pat, txt1 = encode_pair(x, first)
-    txt2 = encode_pair(x, second)[1]
-    d = build_dawg(pat)
+    d = build_dawg(x)
     before = [copy.deepcopy(getattr(d, name)) for name in Dawg._fields]
-    automaton_search(pat, txt1, d)
-    ends, counter = automaton_search(pat, txt2, d)
+    automaton_search(x, first, d)
+    ends, counter = automaton_search(x, second, d)
     assert [getattr(d, name) for name in Dawg._fields] == before
     assert ends
-    assert (ends, counter) == automaton_search(pat, txt2)
+    assert (ends, counter) == automaton_search(x, second)

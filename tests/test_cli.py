@@ -1,3 +1,4 @@
+import codecs
 import gc
 import io
 import json
@@ -21,7 +22,7 @@ from translocsearch.cli import (
     trial_seed,
 )
 
-from helpers import EX2_X, EX2_Y, rand_str
+from helpers import EX2_X, EX2_Y, rand_str, stdin_of
 
 
 class TestParseFasta:
@@ -204,7 +205,7 @@ class TestSearchCommand:
         assert capsys.readouterr().out == "stdin\t12\n"
 
     def test_stdin_text_source(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(EX2_Y + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(EX2_Y + "\n"))
         code = main(["search", "--pattern", EX2_X, "--text-file", "-"])
         assert code == 0
         assert capsys.readouterr().out == "stdin\t12\n"
@@ -273,11 +274,68 @@ class TestSearchCommand:
         for pattern, text in cases:
             path = tmp_path / "t.txt"
             path.write_text(text + "\n")
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", stdin_of(text))
             for source in (["--text", text], ["--text-file", str(path)], ["--text-file", "-"]):
                 assert main(["search", "--pattern", pattern, *source]) == 0
                 outputs.add(capsys.readouterr().out.replace(str(path), "stdin"))
         assert outputs == {"stdin\t4\nstdin\t12\n"}
+
+    @pytest.mark.parametrize("pattern, text", [("A", "ßA"), ("ß", "xßA")])
+    def test_uppercasing_keeps_the_input_positions(self, capsys, pattern, text):
+        """ß uppercases to SS; it stays as it is, so ends count the input's
+        symbols."""
+        assert main(["search", "--pattern", pattern, "--text", text]) == 0
+        assert capsys.readouterr().out == "stdin\t2\n"
+
+    def test_symbols_with_longer_uppercase_keep_their_place_in_every_source(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """ß (two bytes) and ﬁ (three) uppercase to SS and FI; files read
+        in 1 KiB or 3-byte blocks give the ends of ``--text``."""
+        rng = random.Random(23)
+        seq = "".join(rng.choice("aßﬁ") for _ in range(600))
+        pattern = seq[300:308]
+        # a becomes A, and ß and ﬁ stay as they are
+        ends = translocsearch.match_ends(pattern.replace("a", "A"), seq.replace("a", "A"))
+        assert ends
+        fasta = tmp_path / "r.fa"
+        fasta.write_text(">r\n" + "".join(seq[p : p + 60] + "\n" for p in range(0, 600, 60)),
+                         encoding="utf-8")
+        text = tmp_path / "t.txt"
+        text.write_text(seq, encoding="utf-8")
+        sources = (("--text", seq, "stdin"), ("--fasta", fasta, "r"), ("--text-file", text, text))
+        for chunk_chars in (cli.CHUNK_CHARS, 3):
+            monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+            for source, value, record in sources:
+                assert main(["search", "--pattern", pattern, source, str(value)]) == 0
+                out = capsys.readouterr().out
+                assert out == "".join(f"{record}\t{end}\n" for end in ends), (chunk_chars, source)
+
+    @pytest.mark.parametrize("chunk_chars", [cli.CHUNK_CHARS, 1])
+    def test_byte_order_mark_before_a_fasta_header_is_skipped(
+        self, tmp_path, monkeypatch, capsys, chunk_chars
+    ):
+        monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+        path = tmp_path / "bom.fa"
+        path.write_bytes(codecs.BOM_UTF8 + b">r\nACGT\n")
+        assert main(["search", "--pattern", "CG", "--fasta", str(path)]) == 0
+        assert capsys.readouterr().out == "r\t3\n"
+
+    @pytest.mark.parametrize("chunk_chars", [cli.CHUNK_CHARS, 1])
+    def test_byte_order_mark_of_a_text_file_is_no_symbol(
+        self, tmp_path, monkeypatch, capsys, chunk_chars
+    ):
+        monkeypatch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"ACGT")
+        assert main(["search", "--pattern", "CG", "--text-file", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}\t3\n"
+
+    def test_byte_order_mark_of_a_pattern_file_is_no_symbol(self, tmp_path, capsys):
+        path = tmp_path / "pat.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"CG\n")
+        assert main(["search", "--pattern-file", str(path), "--text", "ACGT"]) == 0
+        assert capsys.readouterr().out == "stdin\t3\n"
 
 
 class TestBenchCommand:
@@ -363,6 +421,31 @@ def cold_import_loads(module: str, *flags: str) -> bool:
         text=True, check=True,
     )
     return done.stdout.strip() == "True"
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C"}],
+                         ids=["latin-1", "C-locale"])
+def test_stdin_is_read_as_utf8_whatever_the_locale(tmp_path, env):
+    """stdin gives what a file of the same bytes gives: a two-byte symbol
+    is one symbol, and invalid UTF-8 exits 2 with the file's message."""
+    src = str(Path(translocsearch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    argv = [sys.executable, "-m", "translocsearch.cli", "search", "--pattern", "AC", "--text-file"]
+    path = tmp_path / "t.txt"
+    outcomes = []
+    for data in ("ééAC".encode("utf-8"), b"AC\xffGT"):
+        path.write_bytes(data)
+        from_file = subprocess.run([*argv, str(path)], env=env, capture_output=True)
+        from_stdin = subprocess.run([*argv, "-"], input=data, env=env, capture_output=True)
+        out = from_file.stdout.replace(bytes(path), b"stdin")
+        assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (
+            from_file.returncode, out, from_file.stderr
+        )
+        outcomes.append(from_stdin)
+    good, bad = outcomes
+    assert (good.returncode, good.stdout, good.stderr) == (0, b"stdin\t4\n", b"")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr.startswith(b"utd: error: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from translocsearch.dawg import ROOT, advance_with_hops, build_dawg
-from translocsearch.seqcore import encode, infer_alphabet
 
 from helpers import (
     EX1_X,
@@ -20,18 +19,9 @@ from helpers import (
 )
 
 
-def build_str(x: str):
-    alphabet = infer_alphabet(x)
-    return build_dawg(encode(x, alphabet)), alphabet
-
-
-def state_of(dawg, alphabet, w: str):
-    return walk(dawg, encode(w, alphabet).codes)
-
-
-def advance(dawg, config, code):
+def advance(dawg, config, symbol):
     """The (state, length) configuration after one more text symbol."""
-    new_config, _ = advance_with_hops(dawg, *config, code)
+    new_config, _ = advance_with_hops(dawg, *config, symbol)
     return new_config
 
 
@@ -39,38 +29,38 @@ def transition_count(dawg):
     return sum(len(t) for t in dawg.trans)
 
 
-def scan(dawg, codes):
+def scan(dawg, symbols):
     config = (ROOT, 0)
-    for c in codes:
+    for c in symbols:
         config = advance(dawg, config, c)
     return config
 
 
 class TestBuild:
     def test_example_pattern_end_positions(self):
-        d, a = build_str(EX1_X)
-        ag = state_of(d, a, "ag")
+        d = build_dawg(EX1_X)
+        ag = walk(d, "ag")
         assert endpos_positions(d, ag) == {2, 5, 9}
-        assert endpos_positions(d, state_of(d, a, "gcc")) == {7}
+        assert endpos_positions(d, walk(d, "gcc")) == {7}
 
     def test_example_pattern_classes(self):
-        d, a = build_str(EX1_X)
-        ag = state_of(d, a, "ag")
-        assert state_of(d, a, "g") == ag
+        d = build_dawg(EX1_X)
+        ag = walk(d, "ag")
+        assert walk(d, "g") == ag
         assert d.lens[ag] == 2
-        gc = state_of(d, a, "gc")
-        assert state_of(d, a, "agc") == gc
+        gc = walk(d, "gc")
+        assert walk(d, "agc") == gc
         assert d.lens[gc] == 3
 
     def test_single_character_pattern(self):
-        d, a = build_str("a")
+        d = build_dawg("a")
         assert d.state_count == 2
         assert transition_count(d) == 1
-        assert endpos_positions(d, state_of(d, a, "a")) == {1}
+        assert endpos_positions(d, walk(d, "a")) == {1}
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="empty pattern"):
-            build_dawg(encode("", infer_alphabet("")))
+            build_dawg("")
 
     def test_every_factor_reaches_state_with_brute_end_positions(self):
         rng = random.Random(11)
@@ -79,12 +69,12 @@ class TestBuild:
             for _ in range(30)
         ]
         for x in patterns:
-            d, a = build_str(x)
+            d = build_dawg(x)
             seen = set()
             for i in range(len(x)):
                 for j in range(i + 1, len(x) + 1):
                     w = x[i:j]
-                    q = state_of(d, a, w)
+                    q = walk(d, w)
                     assert q is not None
                     assert endpos_positions(d, q) == brute_end_positions(x, w)
                     seen.add(w)
@@ -92,11 +82,11 @@ class TestBuild:
             for _ in range(20):
                 w = rand_str(rng, 4, rng.randint(1, len(x) + 2))
                 if w not in x:
-                    assert state_of(d, a, w) is None
+                    assert walk(d, w) is None
             # a state's length is the longest factor mapping to it
             longest = {}
             for w in seen:
-                q = state_of(d, a, w)
+                q = walk(d, w)
                 longest[q] = max(longest.get(q, 0), len(w))
             for q, length in longest.items():
                 assert d.lens[q] == length
@@ -110,18 +100,18 @@ class TestBuild:
             rand_str(rng, rng.choice([2, 3, 4]), rng.randint(1, 40)) for _ in range(300)
         ]
         for x in patterns:
-            d, _ = build_str(x)
+            d = build_dawg(x)
             masks = [mask for q, mask in enumerate(d.endpos) if q != ROOT]
             assert len(set(masks)) == len(masks), x
-        d, a = build_str("aaaa")
-        assert d.endpos[ROOT] == d.endpos[state_of(d, a, "a")]
+        d = build_dawg("aaaa")
+        assert d.endpos[ROOT] == d.endpos[walk(d, "a")]
 
     def test_structural_bounds_random(self):
         rng = random.Random(5)
         for _ in range(15):
             sigma = rng.choice([2, 4, 20])
             m = rng.randint(1, 1000)
-            d, _ = build_str(rand_str(rng, sigma, m))
+            d = build_dawg(rand_str(rng, sigma, m))
             assert d.state_count <= 2 * m + 1
             assert transition_count(d) <= 3 * m
             for q in range(1, d.state_count):
@@ -131,21 +121,19 @@ class TestBuild:
 class TestAdvance:
     def test_example_scan_lengths(self):
         # values derived from the brute-force longest-factor-suffix oracle
-        d, a = build_str(EX4_X)
-        y = encode(EX4_Y, a).codes
-        _, length = scan(d, y[:5])
+        d = build_dawg(EX4_X)
+        _, length = scan(d, EX4_Y[:5])
         assert length == 2
         assert brute_longest_factor_suffix(EX4_X, EX4_Y[:5]) == 2
-        _, length = scan(d, y[:11])
+        _, length = scan(d, EX4_Y[:11])
         assert length == 3
         assert brute_longest_factor_suffix(EX4_X, EX4_Y[:11]) == 3
 
     def test_symbol_outside_pattern_resets(self):
-        d, a = build_str(EX4_X)
-        sentinel = a.sentinel
+        d = build_dawg(EX4_X)
         for prefix in ("", "ag", "aggga"):
-            cfg = scan(d, encode(prefix, a).codes)
-            assert advance(d, cfg, sentinel) == (ROOT, 0)
+            cfg = scan(d, prefix)
+            assert advance(d, cfg, "c") == (ROOT, 0)  # c is no symbol of EX4_X
 
     def test_streaming_matches_brute_force(self):
         rng = random.Random(23)
@@ -153,9 +141,9 @@ class TestAdvance:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 10))
             y = rand_str(rng, sigma, rng.randint(0, 30))
-            d, a = build_str(x)
+            d = build_dawg(x)
             q, length = ROOT, 0
-            for j, c in enumerate(encode(y, a).codes, start=1):
+            for j, c in enumerate(y, start=1):
                 q, length = advance(d, (q, length), c)
                 assert length == brute_longest_factor_suffix(x, y[:j])
                 # configuration invariants
@@ -181,9 +169,9 @@ class TestAdvance:
             sigma = rng.choice([2, 3, 4])
             x = rand_str(rng, sigma, rng.randint(1, 16))
             y = rand_str(rng, sigma, rng.randint(0, 60))
-            d, a = build_str(x)
+            d = build_dawg(x)
             fast = plain = (ROOT, 0)
-            for c in encode(y, a).codes:
+            for c in y:
                 fast = advance(d, fast, c)
                 plain = advance_plain(d, plain, c)
                 assert fast == plain
@@ -192,27 +180,27 @@ class TestAdvance:
 class TestSuffixState:
     def test_own_length_is_identity(self):
         for x in (EX1_X, EX4_X, "aaaa", "ab"):
-            d, _ = build_str(x)
+            d = build_dawg(x)
             for q in range(1, d.state_count):
                 assert suffix_state(d, q, d.lens[q]) == q
 
     def test_class_internal_suffix(self):
         # "gc" and "agc" share a class, so the length-2 suffix of "agc"
         # stays on the same state
-        d, a = build_str(EX1_X)
-        agc = state_of(d, a, "agc")
+        d = build_dawg(EX1_X)
+        agc = walk(d, "agc")
         assert suffix_state(d, agc, 2) == agc
 
     def test_crossing_to_linked_class(self):
-        d, a = build_str(EX1_X)
-        cag = state_of(d, a, "cag")
+        d = build_dawg(EX1_X)
+        cag = walk(d, "cag")
         assert d.lens[cag] == 3
         target = suffix_state(d, cag, 2)
         assert endpos_positions(d, target) == brute_end_positions(EX1_X, "ag")
 
     def test_invalid_length_rejected(self):
-        d, a = build_str(EX1_X)
-        q = state_of(d, a, "ag")
+        d = build_dawg(EX1_X)
+        q = walk(d, "ag")
         with pytest.raises(ValueError, match="invalid suffix length"):
             suffix_state(d, q, 0)
         with pytest.raises(ValueError, match="invalid suffix length"):
@@ -227,9 +215,9 @@ class TestSuffixState:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 10))
             y = rand_str(rng, sigma, rng.randint(0, 30))
-            d, a = build_str(x)
+            d = build_dawg(x)
             q, length = ROOT, 0
-            for j, c in enumerate(encode(y, a).codes, start=1):
+            for j, c in enumerate(y, start=1):
                 q, length = advance(d, (q, length), c)
                 prev = None
                 for k in range(length, 0, -1):
@@ -242,24 +230,22 @@ class TestSuffixState:
 
 class TestEndposContains:
     def test_example_membership(self):
-        d, a = build_str(EX1_X)
-        ag = state_of(d, a, "ag")
+        d = build_dawg(EX1_X)
+        ag = walk(d, "ag")
         assert 5 in endpos_positions(d, ag)
         assert 3 not in endpos_positions(d, ag)
 
     def test_whole_pattern(self):
-        d, a = build_str("a")
-        assert 1 in endpos_positions(d, state_of(d, a, "a"))
+        d = build_dawg("a")
+        assert 1 in endpos_positions(d, walk(d, "a"))
 
 
 def test_dump_golden():
-    d, a = build_str("ab")
-    assert dump(d, a).splitlines() == [
+    assert dump(build_dawg("ab")).splitlines() == [
         "0 -> 1 [a]",
         "0 -> 2 [b]",
         "1 -> 2 [b]",
         "suf 1 -> 0",
         "suf 2 -> 0",
     ]
-    d, a = build_str("a")
-    assert dump(d, a) == "0 -> 1 [a]\nsuf 1 -> 0"
+    assert dump(build_dawg("a")) == "0 -> 1 [a]\nsuf 1 -> 0"

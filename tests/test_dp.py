@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from translocsearch.dp import DpColumns, dp_search
+from translocsearch.dp import DpColumns, dp_search, symbol_masks
 from translocsearch.oracle import naive_search
 
 from helpers import (
@@ -12,7 +12,6 @@ from helpers import (
     EX3_Y,
     bits,
     brute_common_suffix,
-    encode_pair,
     f_set,
     f_value,
     p_value,
@@ -22,41 +21,33 @@ from helpers import (
 
 
 def run_columns(x: str, y: str, upto: int | None = None) -> DpColumns:
-    pat, txt = encode_pair(x, y)
-    masks = pat.symbol_masks()
-    cols = DpColumns(pat.length)
-    stop = upto if upto is not None else txt.length
-    for code in txt.codes[:stop]:
-        cols.push(masks.get(code, 0))
+    masks = symbol_masks(x)
+    cols = DpColumns(len(x))
+    for symbol in y[:upto]:
+        cols.push(masks.get(symbol, 0))
     return cols
 
 
 class TestSearch:
     def test_known_two_swap_match(self):
-        pat, txt = encode_pair(EX2_X, EX2_Y)
-        assert dp_search(pat, txt) == [12]
+        assert dp_search(EX2_X, EX2_Y) == [12]
 
     def test_exact_match(self):
-        pat, txt = encode_pair("abc", "abc")
-        assert dp_search(pat, txt) == [3]
+        assert dp_search("abc", "abc") == [3]
 
     def test_single_pair_swap(self):
-        pat, txt = encode_pair("ab", "ba")
-        assert dp_search(pat, txt) == [2]
+        assert dp_search("ab", "ba") == [2]
 
     def test_unequal_length_swap(self):
         # "bca" arises from "abc" by swapping "a" with "bc"
-        pat, txt = encode_pair("abc", "bca")
-        assert dp_search(pat, txt) == [3]
+        assert dp_search("abc", "bca") == [3]
 
     def test_pattern_longer_than_text(self):
-        pat, txt = encode_pair("abc", "ab")
-        assert dp_search(pat, txt) == []
+        assert dp_search("abc", "ab") == []
 
     def test_empty_pattern_rejected(self):
-        pat, txt = encode_pair("", "abc")
         with pytest.raises(ValueError, match="empty pattern"):
-            dp_search(pat, txt)
+            dp_search("", "abc")
 
 
 class TestCommonSuffixTable:
@@ -73,11 +64,10 @@ class TestCommonSuffixTable:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 8))
             y = rand_str(rng, sigma, rng.randint(0, 12))
-            pat, txt = encode_pair(x, y)
-            masks = pat.symbol_masks()
-            cols = DpColumns(pat.length)
-            for j, code in enumerate(txt.codes, start=1):
-                cols.push(masks.get(code, 0))
+            masks = symbol_masks(x)
+            cols = DpColumns(len(x))
+            for j, symbol in enumerate(y, start=1):
+                cols.push(masks.get(symbol, 0))
                 for i in range(len(x) + 1):
                     assert f_value(cols, i, j) == brute_common_suffix(x, y, i, j)
 
@@ -96,39 +86,38 @@ class TestPrefixCell:
     def test_row_one_needs_equal_symbols_only(self):
         # condition (b) needs h, k >= 1 with h+k <= i, impossible at i=1
         cols = run_columns("ab", "ba", upto=2)
-        assert prefix_match_cell(cols, 1, 2, 0, 0) is True  # x[1]='a'=y[2]
-        assert prefix_match_cell(cols, 1, 2, 0, 1) is False
+        assert prefix_match_cell(cols, 1, 2, "a", "a") is True  # x[1]='a'=y[2]
+        assert prefix_match_cell(cols, 1, 2, "a", "b") is False
 
     def test_hand_evaluated_swap(self):
         # x="ab", y="ba", i=2, j=2: h=k=1 with F[1,2]>=1, F[2,1]>=1, P[0,0]
         cols = run_columns("ab", "ba", upto=2)
         assert f_value(cols, 1, 2) >= 1
         assert f_value(cols, 2, 1) >= 1
-        assert prefix_match_cell(cols, 2, 2, 1, 0) is True
+        assert prefix_match_cell(cols, 2, 2, "b", "a") is True
 
     def test_identity_chain(self):
         cols = run_columns("abc", "abc")
-        assert prefix_match_cell(cols, 3, 3, 2, 2) is True
+        assert prefix_match_cell(cols, 3, 3, "c", "c") is True
 
     def test_sentinel_row_always_true(self):
         cols = run_columns("abc", "xx")
         for j in (1, 2):
             assert p_value(cols, 0, j) is True
-            assert prefix_match_cell(cols, 0, j, 0, 0) is True
+            assert prefix_match_cell(cols, 0, j, "a", "x") is True
 
     def test_cell_recurrence_agrees_with_column_engine(self):
         rng = random.Random(13)
         for _ in range(30):
             x = rand_str(rng, 2, rng.randint(1, 8))
             y = rand_str(rng, 2, rng.randint(0, 12))
-            pat, txt = encode_pair(x, y)
-            masks = pat.symbol_masks()
-            cols = DpColumns(pat.length)
-            for j, code in enumerate(txt.codes, start=1):
-                cols.push(masks.get(code, 0))
+            masks = symbol_masks(x)
+            cols = DpColumns(len(x))
+            for j, symbol in enumerate(y, start=1):
+                cols.push(masks.get(symbol, 0))
                 for i in range(1, len(x) + 1):
                     expected = prefix_match_cell(
-                        cols, i, j, pat.codes[i - 1], code
+                        cols, i, j, x[i - 1], symbol
                     )
                     assert p_value(cols, i, j) == expected, (x, y, i, j)
 
@@ -168,8 +157,7 @@ class TestRingBuffer:
             sigma = rng.choice([2, 4])
             x = rand_str(rng, sigma, rng.randint(1, 6))
             y = rand_str(rng, sigma, rng.randint(0, 40))
-            pat, txt = encode_pair(x, y)
-            assert dp_search(pat, txt) == full_matrix_search(x, y), (x, y)
+            assert dp_search(x, y) == full_matrix_search(x, y), (x, y)
 
     def test_columns_out_of_window_rejected(self):
         cols = run_columns("ab", "abababab")
@@ -183,5 +171,4 @@ def test_agrees_with_enumeration_oracle():
         sigma = rng.choice([2, 4])
         x = rand_str(rng, sigma, rng.randint(1, 8))
         y = rand_str(rng, sigma, rng.randint(len(x), 20))
-        pat, txt = encode_pair(x, y)
-        assert dp_search(pat, txt) == naive_search(pat, txt), (x, y)
+        assert dp_search(x, y) == naive_search(x, y), (x, y)

@@ -3,21 +3,15 @@ import random
 import pytest
 
 from translocsearch.oracle import NAIVE_LIMIT, enumerate_images, naive_search
-from translocsearch.seqcore import encode, infer_alphabet
 
-from helpers import EX2_X, EX2_Y, encode_pair, image_count_bound, rand_str
+from helpers import EX2_X, EX2_Y, image_count_bound, rand_str
 
 
 REFUSAL = "naive engine refuses patterns longer than 12"
 
 
 def images_of(s: str) -> set[str]:
-    alphabet = infer_alphabet(s)
-    seq = encode(s, alphabet)
-    return {
-        "".join(alphabet.symbols[c] for c in img)
-        for img in enumerate_images(seq)
-    }
+    return {"".join(img) for img in enumerate_images(s)}
 
 
 class TestEnumeration:
@@ -59,22 +53,20 @@ class TestEnumeration:
 
     def test_pattern_over_limit_refused(self):
         assert NAIVE_LIMIT == 12
-        seq = encode("abcdefghijklm", infer_alphabet("abcdefghijklm"))
         with pytest.raises(ValueError, match=REFUSAL):
-            enumerate_images(seq)
+            enumerate_images("abcdefghijklm")
 
     def test_longest_accepted_pattern_enumerates_every_image(self):
         s = "abcdefghijkl"
-        assert len(enumerate_images(encode(s, infer_alphabet(s)))) == 10_252
+        assert len(enumerate_images(s)) == 10_252
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError, match="empty pattern"):
-            enumerate_images(encode("", infer_alphabet("")))
+            enumerate_images("")
 
     def test_very_long_pattern_refused_at_once(self):
-        seq = encode("acgt" * 275, infer_alphabet("acgt"))
         with pytest.raises(ValueError, match=REFUSAL):
-            enumerate_images(seq)
+            enumerate_images("acgt" * 275)
 
 
 class TestNaiveSearch:
@@ -82,28 +74,23 @@ class TestNaiveSearch:
         "text", ["", "abc", "abcdefghijklm" * 2], ids=["empty", "shorter", "longer"]
     )
     def test_pattern_over_limit_refused_whatever_the_text(self, text):
-        pat, txt = encode_pair("abcdefghijklm", text)
         with pytest.raises(ValueError, match=REFUSAL):
-            naive_search(pat, txt)
+            naive_search("abcdefghijklm", text)
 
     def test_known_two_swap_match(self):
-        pat, txt = encode_pair(EX2_X, EX2_Y)
-        assert naive_search(pat, txt) == [12]
+        assert naive_search(EX2_X, EX2_Y) == [12]
 
     def test_both_orientations_found(self):
-        pat, txt = encode_pair("ab", "abba")
-        assert naive_search(pat, txt) == [2, 4]
+        assert naive_search("ab", "abba") == [2, 4]
 
     def test_disjoint_alphabets(self):
-        pat, txt = encode_pair("ab", "cc")
-        assert naive_search(pat, txt) == []
+        assert naive_search("ab", "cc") == []
 
     def test_pattern_matches_itself_at_end(self):
         rng = random.Random(8)
         for _ in range(30):
             s = rand_str(rng, rng.choice([2, 4]), rng.randint(1, 8))
-            pat, txt = encode_pair(s, s)
-            assert len(s) in naive_search(pat, txt)
+            assert len(s) in naive_search(s, s)
 
 
 class TestCountBound:

@@ -28,21 +28,17 @@ from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
 from translocsearch.dp import DpColumns, dp_search
 from translocsearch.oracle import enumerate_images, naive_search
-from translocsearch.seqcore import encode, infer_alphabet
 
-from helpers import EX2_X, EX2_Y, LETTERS, encode_pair, reference_counts, reference_pieces
+from helpers import EX2_X, EX2_Y, LETTERS, reference_counts, reference_pieces, stdin_of
 
 ENGINES = ("naive", "dp", "dawg")
 
 
 def window_scan(pattern: str, text: str) -> list[int]:
     """Reference: test every window of the whole text against the images."""
-    pat, txt = encode_pair(pattern, text)
-    m = pat.length
-    if m > txt.length:
-        return []
-    images = enumerate_images(pat)
-    return [j for j in range(m, txt.length + 1) if txt.codes[j - m : j] in images]
+    m = len(pattern)
+    images = enumerate_images(pattern)
+    return [j for j in range(m, len(text) + 1) if tuple(text[j - m : j]) in images]
 
 
 def split(text: str, cuts: list[int]) -> list[str]:
@@ -68,10 +64,10 @@ patterns = st.one_of(
     period2(7).filter(bool),
 )
 texts = st.one_of(
-    st.text("abcN", max_size=40),  # N is never a pattern symbol: the sentinel code
+    st.text("abcN", max_size=40),  # N is never a pattern symbol
     unary("ab", 40),
     period2(40),
-    st.text("N\n", max_size=12),  # sentinel-only
+    st.text("N\n", max_size=12),  # foreign symbols only
 )
 
 
@@ -87,7 +83,7 @@ def chunked(draw):
 @example(pattern="abc", case=("ab", [1]))  # m > n
 @example(pattern="abcabc", case=("cab", []))  # m > n, one chunk
 @example(pattern="a", case=("aNa", [0, 1, 1, 3]))  # m = 1, empty chunks at both ends
-@example(pattern="ab", case=("NNNN", [2]))  # sentinel-only
+@example(pattern="ab", case=("NNNN", [2]))  # foreign symbols only
 @example(pattern="aaa", case=("aaaaaa", [1, 1, 4]))  # unary
 @example(pattern="abab", case=("babababa", [3, 5]))  # period 2
 @example(pattern="ab", case=("", [0, 0]))  # empty text, only empty chunks
@@ -109,12 +105,11 @@ def test_chunked_text_matches_whole_text_on_every_engine(pattern, case):
 def test_counted_search_matches_reference_counts(pattern, text):
     """The per-column tally equals counts enumerated pair by pair, and
     counting changes no hit."""
-    pat, txt = encode_pair(pattern, text)
-    ends, counter = automaton_search(pat, txt)
-    assert counter == reference_counts(pat, txt)
-    uncounted, none = automaton_search(pat, iter(txt), count=False)
+    ends, counter = automaton_search(pattern, text)
+    assert counter == reference_counts(pattern, text)
+    uncounted, none = automaton_search(pattern, iter(text), count=False)
     assert none is None
-    assert ends == uncounted == dp_search(pat, txt)
+    assert ends == uncounted == dp_search(pattern, text)
 
 
 @st.composite
@@ -154,9 +149,8 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
     """Filtered `dp` and `dawg` on the chunked text, under every budget in
     BUDGETS, and the unfiltered engines on the whole text, all give
     ``expected``."""
-    pat, txt = encode_pair(pattern, text)
-    assert dp_search(pat, txt) == expected
-    assert automaton_search(pat, txt, count=False)[0] == expected
+    assert dp_search(pattern, text) == expected
+    assert automaton_search(pattern, text, count=False)[0] == expected
     for budget in BUDGETS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
@@ -172,7 +166,7 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
 @example(case=("ab", "NbaNab", [0, 0, 2, 2, 6, 6]))  # empty chunks between runs
 @example(case=("a", "aNa", [1, 2]))  # m = 1
 @example(case=("abcabc", "cab", [1]))  # m > n
-@example(case=("ab", "NNNN", [2]))  # sentinel only
+@example(case=("ab", "NNNN", [2]))  # foreign symbols only
 @example(case=("aaaa", "a" * 9, [3, 5]))  # unary: a count reaches m, no digit carries
 # by default a run closes its cluster, and a later cluster's checked image
 # follows it (hits 5-20 and 30): in one chunk, and cut between the two
@@ -180,7 +174,7 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
 @example(case=("aaaab", "aaaab" * 4 + "NNNNN" + "baaaa", [22]))
 def test_filtered_engines_match_naive_and_unfiltered(case):
     pattern, text, cuts = case
-    expected = naive_search(*encode_pair(pattern, text))
+    expected = naive_search(pattern, text)
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
@@ -192,7 +186,7 @@ def test_filter_with_multi_word_weights(case):
     their marks must all hold at once; too many images for the naive
     engine, so `dp` is the reference."""
     pattern, text, cuts = case
-    expected = dp_search(*encode_pair(pattern, text))
+    expected = dp_search(pattern, text)
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
@@ -417,7 +411,7 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
     text = (pattern * 10)[1 : 5 * m + 1]
     rng = random.Random(m)
     cuts = [rng.randrange(len(text) + 1) for _ in range(6)]
-    expected = dp_search(*encode_pair(pattern, text))
+    expected = dp_search(pattern, text)
     budget = translocsearch.CHECK_BUDGET * m * m
     for algo in ("dp", "dawg"):
         works, windows, calls = [], [], Counter()
@@ -490,7 +484,7 @@ def test_window_checks_see_each_window_of_a_cluster_once(case):
     occurs, and a window that comes back after a cluster break once more;
     the hits stay those of the unfiltered engine."""
     pattern, text, cuts = case
-    expected = dp_search(*encode_pair(pattern, text))
+    expected = dp_search(pattern, text)
     check = translocsearch._is_image
     for algo in ("dp", "dawg"):
         windows = []
@@ -560,9 +554,8 @@ def image_cases(draw):
 @example(case=("abcdef", "efcdab"))  # no image: ab and ef cannot cross cd
 def test_image_check_agrees_with_enumeration(case):
     pattern, window = case
-    pat, txt = encode_pair(pattern, window)
     image, work = translocsearch._is_image(pattern, window)
-    assert image == (txt.codes in enumerate_images(pat))
+    assert image == (tuple(window) in enumerate_images(pattern))
     assert work > 0
 
 
@@ -579,11 +572,7 @@ def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
             by_counts.setdefault("".join(sorted(word)), []).append(word)
         for words in by_counts.values():
             for pattern in words:
-                alphabet = infer_alphabet(pattern)
-                images = {
-                    "".join(alphabet.symbols[c] for c in image)
-                    for image in enumerate_images(encode(pattern, alphabet))
-                }
+                images = {"".join(image) for image in enumerate_images(pattern)}
                 for window in words:
                     assert translocsearch._is_image(pattern, window)[0] == (window in images), (
                         pattern, window
@@ -593,20 +582,18 @@ def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
 
 
 def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):
-    """Nothing is encoded and no engine runs where the filter and the window
+    """No engine runs and no DAWG is built where the filter and the window
     checks decide every window: none passes the filter, or each one that
     does is checked on its own."""
     checked = ("ab" * 16, ["ab" * 50, "ab" * 50])  # period 2: cheap checks
-    checked_ends = dp_search(*encode_pair(checked[0], "".join(checked[1])))
+    checked_ends = dp_search(checked[0], "".join(checked[1]))
 
     def refuse(*args):
-        raise AssertionError("encoded or ran an engine where no window needs one")
+        raise AssertionError("ran an engine where no window needs one")
 
     monkeypatch.setattr(SearchState, "step", refuse)
     monkeypatch.setattr(DpColumns, "push", refuse)
     monkeypatch.setattr(translocsearch, "build_dawg", refuse)
-    monkeypatch.setattr(translocsearch, "encode", refuse)
-    monkeypatch.setattr(translocsearch, "infer_alphabet", refuse)
     text = "GATTAGA" * 1000  # every window lacks the pattern's C
     for algo in ("dp", "dawg"):
         assert match_ends("GATTACA", text, algo) == []
@@ -714,7 +701,7 @@ def test_long_text_file_matches_whole_text(tmp_path, monkeypatch):
         expected = "".join(f"{path}\t{end}\n" for end in ends)
         argv = ["--pattern", "GATTACA", "--algo", algo]
         assert run_search([*argv, "--text-file", str(path)]) == expected, algo
-        monkeypatch.setattr("sys.stdin", io.StringIO(content))
+        monkeypatch.setattr("sys.stdin", stdin_of(content))
         assert run_search([*argv, "--text-file", "-"]) == expected.replace(str(path), "stdin")
 
 
@@ -789,7 +776,7 @@ def test_text_file_trailing_newlines_end_no_match(tmp_path, monkeypatch, content
         for algo in ENGINES:
             argv = ["--pattern", pattern, "--algo", algo]
             expected = run_search([*argv, "--text", content.rstrip("\n")])
-            monkeypatch.setattr("sys.stdin", io.StringIO(content))
+            monkeypatch.setattr("sys.stdin", stdin_of(content))
             assert run_search([*argv, "--text-file", "-"]) == expected, (pattern, algo)
             from_file = run_search([*argv, "--text-file", str(path)])
             assert from_file == expected.replace("stdin\t", f"{path}\t"), (pattern, algo)
@@ -805,9 +792,9 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
     runs = []
 
     def spy(pattern, text):
-        codes = list(text)
-        runs[-1].append(len(codes))
-        return real(pattern, codes)
+        symbols = list(text)
+        runs[-1].append(len(symbols))
+        return real(pattern, symbols)
 
     monkeypatch.setattr(translocsearch, "dp_search", spy)
     outputs = set()
@@ -849,7 +836,7 @@ def test_a_run_ends_once_the_scan_passes_it(monkeypatch):
 
     returning("dp_search")
     returning("automaton_search")
-    expected = dp_search(*encode_pair(pattern, "".join(chunks(1))))
+    expected = dp_search(pattern, "".join(chunks(1)))
     for algo in ("dp", "dawg"):
         events.clear()
         assert match_ends(pattern, chunks(1), algo) == expected, algo
@@ -868,21 +855,24 @@ def test_a_run_ends_once_the_scan_passes_it(monkeypatch):
 
 def test_search_encodes_nothing(tmp_path, monkeypatch):
     """A search whose runs start hundreds of pieces, one per line of a FASTA
-    file at line width 1, never calls `encode`: the engines read the runs'
-    symbols as they are."""
+    file at line width 1, never calls `encode` or `infer_alphabet`: the
+    engines read the runs' symbols as they are."""
     pattern = "A" * 11 + "C"
     seq = (pattern * 6 + "G" + pattern * 5).lower()
     fasta = tmp_path / "width-1.fa"
     fasta.write_text(">r\n" + "".join(symbol + "\n" for symbol in seq))
-    real = translocsearch.encode
     encoded = []
 
-    def spy(raw, alphabet):
-        encoded.append(raw)
-        return real(raw, alphabet)
+    def spying(real):
+        def spy(raw, *alphabet):
+            encoded.append(raw)
+            return real(raw, *alphabet)
+        return spy
 
-    monkeypatch.setattr(translocsearch, "encode", spy)
-    monkeypatch.setattr(translocsearch.seqcore, "encode", spy)
+    for name in ("encode", "infer_alphabet"):
+        spy = spying(getattr(translocsearch, name))
+        monkeypatch.setattr(translocsearch, name, spy)
+        monkeypatch.setattr(translocsearch.seqcore, name, spy)
     calls = Counter()
     count_calls(monkeypatch, calls, translocsearch, "dp_search", "dp")
     count_calls(monkeypatch, calls, translocsearch, "automaton_search", "dawg")
