@@ -17,8 +17,8 @@ characters, and returns the list of 1-based match end positions, as
 :func:`match_ends` runs ``dp`` and ``dawg`` only on the stretches of text
 covered by windows whose symbol counts equal the pattern's: every image
 of the pattern is a permutation of it, so no other window can match.
-Those windows are found a chunk at a time, with a few bytes and big-int
-operations per pattern symbol in place of a loop over the text.  They
+Those windows are found a chunk at a time, with a dozen big-int operations
+per distinct pattern symbol in place of a loop over the text.  They
 are checked one by one, without an engine, until the checks of a
 stretch of overlapping windows exceed a work budget of about m^2/4 per
 window; an engine runs over the rest of the stretch.
@@ -27,7 +27,6 @@ window; an engine runs over the rest of the stretch.
 search uses them, and they stay importable only for the benchmark in
 ``perfbench``.
 """
-from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -119,10 +118,8 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     Only windows whose symbol counts equal the pattern's can match; a
     window with every pattern symbol's count right holds m pattern
     symbols and no other.  :func:`_count_marks` finds them a chunk at a
-    time, in a few bytes and big-int operations per pattern symbol.
-    Symbols are coded by code point: in one byte, with ``?`` for any
-    symbol beyond latin-1, unless the pattern holds ``?`` or such a
-    symbol; then in four.
+    time, in a dozen big-int operations per distinct pattern symbol, from
+    the symbol counts and code width read off the pattern once per search.
 
     Candidate windows that overlap form a cluster.  Its windows are
     checked one by one, the r-th only if the r-1 before it were and their
@@ -135,6 +132,8 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     windows, which covers every period up to m in O(m^2) memory; a
     window found there is not checked again but charged the work stored
     with its verdict, so the budget decides exactly as if it had been.
+    A verdict is stored only once a later window of its cluster comes,
+    so a cluster of one window, the usual kind, costs no dict work.
     Images and pieces are yielded as the scan reaches them: a window left
     to an engine passes on the symbols it adds past the end of its run, or
     all of its symbols when it starts a run.  The last m-1 symbols of the
@@ -142,16 +141,17 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     """
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
-    counts = Counter(map(ord, pattern))  # code point -> count
+    counts = {ord(c): pattern.count(c) for c in dict.fromkeys(pattern)}  # code point -> count
     # bytes per symbol code: 1 where any symbol beyond latin-1 can become
     # "?", 4 (UTF-32) where the pattern holds "?" or such a symbol
-    width = 1 if max(counts) < 256 and 63 not in counts else 4
+    width = 4 if "?" in pattern or not pattern.isascii() and max(pattern) > "\xff" else 1
     tail = ""  # the last m-1 symbols before the chunk
     offset = 0  # symbols before text[0]
     run = end = -1  # the open run: offset, and end of its last window (-1: no run open)
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
+    new = ""  # the window checked last, while its verdict is not yet in seen
     for chunk in chunks:
         text = tail + chunk
         marks = _count_marks(text, m, counts, width)
@@ -161,14 +161,19 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
             if pos >= last + m:  # the window opens a cluster
                 left = budget
                 seen.clear()
+                new = ""
             last = pos
             if left > 0:
-                window = text[k : k + m]
-                if window not in seen:
+                if new:  # the cluster goes on: keep the last check's verdict
                     if len(seen) == m:
                         del seen[next(iter(seen))]
-                    seen[window] = _is_image(pattern, window)
-                image, work = seen[window]
+                    seen[new] = image, work
+                new = text[k : k + m]
+                if seen and new in seen:
+                    image, work = seen[new]
+                    new = ""
+                else:
+                    image, work = _is_image(pattern, new)
                 left += budget - work
                 if image:
                     yield None, pos + m
@@ -189,13 +194,13 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
 _EQ = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
 
 
-def _equal(data: bytes, width: int, value: int) -> int:
-    """The int whose byte i is 1 where digit i of ``data``, ``width``
-    bytes little-endian, equals ``value``, and 0 elsewhere: each byte lane
-    is compared on its own.  ``data[0::1]`` is ``data``, not a copy."""
-    eq = int.from_bytes(data[0::width].translate(_EQ[value & 255]), "little")
-    for j in range(1, width):
-        eq &= int.from_bytes(data[j::width].translate(_EQ[value >> 8 * j & 255]), "little")
+def _equal(data: bytes, value: int) -> int:
+    """The int whose byte i is 1 where code point i of ``data``, UTF-32-LE,
+    equals ``value``, and 0 elsewhere: each of its 4 byte lanes is compared
+    on its own."""
+    eq = -1
+    for j in range(4):
+        eq &= int.from_bytes(data[j::4].translate(_EQ[value >> 8 * j & 255]), "little")
     return eq
 
 
@@ -209,33 +214,39 @@ def _count_marks(text: str, m: int, counts: dict[int, int], width: int) -> bytes
     as an int in digits of w = ``digit`` bytes (1, 2 or 4, as m needs), becomes
     ((x << 8wm) - x) // (256^w - 1), which is x times a digit 1 repeated m
     times: digit i is the count of c in the window ending at i.  No count
-    exceeds m < 256^w, so no digit carries and the division is exact.  The
-    marks are ANDed over the code points, and once none is left the rest
-    are skipped.
+    exceeds m < 256^w, so no digit carries and the division is exact.
+    Shifted down m-1 digits, digit k counts window k.  The marks hold a 1
+    in the lowest bit of the digit of each window not yet ruled out; XOR
+    with c's count there leaves z, whose digit is 0 where the count is
+    right, and ((z | u << 8w-1) - u) | z, with u the marks, has a digit's
+    top bit set exactly where z's digit is not 0, borrowing across no digit.
+    So a pass is a dozen big-int operations and no constant is built
+    beyond the first marks; once no mark is left the rest are skipped.
+    The text is encoded anew for each pass, so that no text-sized bytes
+    outlive one.
     """
     n = len(text)
     if n < m:
         return b""
-    if width == 1:
-        data = text.encode("latin-1", "replace")
-    else:  # a lone surrogate too is its own code point
-        data = text.encode("utf-32-le", "surrogatepass")
     digit = 1 if m < 256 else 2 if m < 65536 else 4  # bytes per count
     spread = "utf-16-le" if digit == 2 else "utf-32-le"
-    shift, ones = 8 * digit * m, (1 << 8 * digit) - 1
-    marks = -1
+    shift, ones, top = 8 * digit * m, (1 << 8 * digit) - 1, 8 * digit - 1
+    skip = shift - 8 * digit  # digits 0 .. m-2 count no whole window
+    marks = int.from_bytes((1).to_bytes(digit, "little") * (n - m + 1), "little")  # every window
     for code, count in counts.items():
-        x = _equal(data, width, code)
+        if width == 1:
+            x = int.from_bytes(text.encode("latin-1", "replace").translate(_EQ[code]), "little")
+        else:  # a lone surrogate too is its own code point
+            x = _equal(text.encode("utf-32-le", "surrogatepass"), code)
         if digit > 1:  # one digit of `digit` bytes per symbol
             x = x.to_bytes(n, "little").decode("latin-1").encode(spread)
             x = int.from_bytes(x, "little")
-        x = ((x << shift) - x) // ones
-        # digits m-1 .. n-1, the counts of whole windows; the int dies here
-        x = x.to_bytes(digit * (n + m), "little")[digit * (m - 1) : digit * n]
-        marks &= _equal(x, digit, count)
+        x = ((x << shift) - x) // ones >> skip  # digit k: the count of c in window k
+        x ^= count * marks  # 0 where a marked window's count is right
+        marks &= ~((x | marks << top) - marks | x) >> top
         if not marks:
             break
-    return marks.to_bytes(n - m + 1, "little")
+    return marks.to_bytes(digit * (n - m + 1), "little")[::digit]
 
 
 def _is_image(pattern: str, window: str) -> tuple[bool, int]:

@@ -304,6 +304,54 @@ def test_filter_stream_on_huge_patterns(pattern, text, monkeypatch):
     assert stream(pattern, split(text, cuts)) == reference_pieces(pattern, text, 0)
 
 
+def reference_marks(pattern: str, text: str) -> bytes:
+    """What `_count_marks` returns, one window at a time: a byte per window
+    of m symbols, 1 where its `Counter` equals the pattern's."""
+    m, counts = len(pattern), Counter(pattern)
+    return bytes(Counter(text[k : k + m]) == counts for k in range(len(text) - m + 1))
+
+
+def assert_marks(pattern: str, text: str):
+    """`_count_marks` gives the reference marks in every code width that is
+    exact for the pattern: 4 bytes (UTF-32) always, and 1 (latin-1, with
+    "?" for the rest) where the pattern holds neither "?" nor a symbol
+    beyond latin-1."""
+    counts = Counter(map(ord, pattern))
+    widths = (1, 4) if "?" not in pattern and max(pattern) <= "\xff" else (4,)
+    for width in widths:
+        got = translocsearch._count_marks(text, len(pattern), counts, width)
+        assert got == reference_marks(pattern, text), width
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coded_cases())
+@example(case=("abcd", "abc", []))  # n < m
+@example(case=("abc", "cab", []))  # n = m, one window
+@example(case=("ab", "", []))  # no symbol at all
+@example(case=("a?", "\u20aca", []))  # n = m: "\u20ac" is not "?" once the pattern holds "?"
+@example(case=("ab", "\u20acab?", []))  # "\u20ac" and "?" both foreign in one byte
+@example(case=("\udc80a", "a\udc80", []))  # a lone surrogate, n = m
+def test_count_marks_match_the_counter_reference(case):
+    pattern, text, _ = case
+    assert_marks(pattern, text)
+
+
+@pytest.mark.parametrize("pattern", [
+    ("ab" * 128)[:255],  # counts in one byte
+    ("ab" * 128)[:256],  # counts in two bytes
+    ("a?\u20ac" * 86)[:255],  # 4-byte codes, counts in one byte
+    ("a?\U0001d11e\udc80" * 64)[:256],  # 4-byte codes, counts in two bytes
+    # 255 a's differ from the pattern's 127 and 0 b's from its 128 in the
+    # top bit alone of a count byte
+    "a" * 127 + "b" * 128,
+], ids=["m255", "m256", "m255-wide", "m256-wide", "m255-top-bit"])
+def test_count_marks_on_long_patterns(pattern):
+    text, _ = long_case(pattern, len(pattern))
+    assert_marks(pattern, text)
+    assert_marks(pattern, pattern)  # n = m
+    assert_marks(pattern, pattern[1:])  # n < m
+
+
 def test_filter_runs_a_bounded_number_of_lines_per_chunk():
     """The filter works a chunk at a time, not a symbol at a time: over 10^4
     random DNA symbols in 2 KiB chunks, with m = 64 and no candidate window,
@@ -332,6 +380,43 @@ def test_filter_runs_a_bounded_number_of_lines_per_chunk():
         sys.settrace(tracer)
     assert pieces == reference_pieces(pattern, text, 0) == []
     assert events < 100 * len(chunks), events
+
+
+def test_a_short_read_costs_the_same_lines_at_any_m():
+    """The fixed cost of one `match_ends` call does not grow with the
+    pattern: on a 150-symbol DNA read with no candidate window, the lines
+    of the package's main module run as often at m = 6 as at m = 40, and
+    fewer than 64 times (50 on CPython 3.11): set-up, one filter pass and
+    the dispatch, with no line per symbol.  The read holds no T and each
+    pattern starts with T, so the first pass leaves no window; both
+    patterns hold all four symbols, so the set-up reads four of them."""
+    rng = random.Random(24)
+    read = "".join(rng.choice("ACG") for _ in range(150))
+    patterns = ["TACGTA", "T" + "".join(rng.choice("ACGT") for _ in range(39))]
+
+    def lines(pattern: str) -> int:
+        events = 0
+
+        def line(frame, event, arg):
+            nonlocal events
+            events += event == "line"
+            return line
+
+        def call(frame, event, arg):
+            return line if frame.f_code.co_filename == translocsearch.__file__ else None
+
+        tracer = sys.gettrace()
+        sys.settrace(call)
+        try:
+            hits = match_ends(pattern, read)
+        finally:
+            sys.settrace(tracer)
+        assert hits == []
+        return events
+
+    assert [set(p) for p in patterns] == [set("ACGT")] * 2
+    six, forty = map(lines, patterns)
+    assert six == forty < 64, (six, forty)
 
 
 def candidate_symbols(pattern: str, text: str, budget: float) -> tuple[int, int]:

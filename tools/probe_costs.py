@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Split the time of a short-read `match_ends` call into its parts.
+
+    python3 tools/probe_costs.py [--src DIR ...] [--seed N] [--repeat K]
+
+Generates the inputs of perfbench's `many-probes` workload (1000 reads of
+150 DNA symbols, pattern lengths 6-40) and times `match_ends(pattern,
+read)` on each, as the least of K calls, four ways: as it is; with
+`_is_image` replaced by a stub; with `_count_marks` replaced too, so no
+window is a candidate; and with `_pieces` consumed directly under both
+stubs.  The differences give microseconds per probe of the window checks,
+the count filter and the engine dispatch in `match_ends`; the last way is
+the set-up of `_pieces` and its bookkeeping per chunk.  It then times
+`_pieces` on the case of many distinct pattern symbols, the least of 3K
+runs: a pattern of 300 distinct CJK symbols over 9000 symbols of
+shuffled copies of it, in 2 KiB chunks, where most windows keep most
+counts right.
+
+Each ``--src`` names the ``src`` directory of a checkout (default: this
+one's).  Given several, the script loads each package under its own name
+and lets them take turns on every probe, so a slow spell of a shared
+machine hits them alike; it prints one column per checkout.
+"""
+import argparse
+import importlib.util
+import math
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WAYS = ("full", "no checks", "no filter", "set-up")
+
+
+def load(src: Path, name: str):
+    """The ``translocsearch`` package under ``src``, imported as ``name``."""
+    package = src.resolve() / "translocsearch"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def no_check(pattern: str, window: str) -> tuple[bool, int]:
+    return False, 1
+
+
+def no_filter(text: str, m: int, *_) -> bytes:
+    return bytes(max(0, len(text) - m + 1))
+
+
+def stub(module, real: tuple, way: str) -> None:
+    """Put the stubs of ``way`` in place of the ``real`` `_is_image` and
+    `_count_marks`, or these back."""
+    module._is_image = real[0] if way == "full" else no_check
+    module._count_marks = no_filter if way in ("no filter", "set-up") else real[1]
+
+
+def one_call(module, way: str, pattern: str, read: str) -> float:
+    """Seconds of one call made the given way, its stubs in place."""
+    t0 = time.perf_counter()
+    if way == "set-up":
+        for _ in module._pieces(pattern, (read,)):
+            pass
+    else:
+        module.match_ends(pattern, read)
+    return time.perf_counter() - t0
+
+
+def probe_times(modules: list, probes: list[tuple[str, str]], repeat: int) -> list[dict]:
+    """Per module, microseconds per probe of each way: the least of
+    ``repeat`` calls on each probe, averaged over the probes."""
+    totals = [dict.fromkeys(WAYS, 0.0) for _ in modules]
+    reals = [(module._is_image, module._count_marks) for module in modules]
+    try:
+        for pattern, read in probes:
+            for way in WAYS:
+                for module, real in zip(modules, reals):
+                    stub(module, real, way)
+                best = [math.inf] * len(modules)
+                for _ in range(repeat):
+                    for i, module in enumerate(modules):
+                        best[i] = min(best[i], one_call(module, way, pattern, read))
+                for total, least in zip(totals, best):
+                    total[way] += least
+    finally:
+        for module, real in zip(modules, reals):
+            stub(module, real, "full")
+    return [{way: t / len(probes) * 1e6 for way, t in total.items()} for total in totals]
+
+
+def distinct_times(modules: list, repeat: int) -> list[float]:
+    """Per module, microseconds per symbol of `_pieces` on 300 distinct
+    symbols, the least of ``repeat`` runs."""
+    rng = random.Random(300)
+    pattern = "".join(map(chr, range(0x4E00, 0x4E00 + 300)))
+    text = "".join("".join(rng.sample(pattern, len(pattern))) for _ in range(30))
+    chunks = [text[i : i + 2048] for i in range(0, len(text), 2048)]
+    best = [math.inf] * len(modules)
+    for _ in range(repeat):
+        for i, module in enumerate(modules):
+            t0 = time.perf_counter()
+            for _ in module._pieces(pattern, iter(chunks)):
+                pass
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return [b / len(text) * 1e6 for b in best]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, action="append")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=9)
+    args = parser.parse_args(argv)
+    srcs = args.src or [ROOT / "src"]
+    modules = [load(src, f"translocsearch_{i}") for i, src in enumerate(srcs)]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import many_probes
+
+    with tempfile.TemporaryDirectory() as work:
+        probes = [(s.pattern, s.text) for s in many_probes(args.seed, Path(work)).searches]
+    times = probe_times(modules, probes, args.repeat)
+    rows = {
+        "set-up": [t["set-up"] for t in times],
+        "filter": [t["no checks"] - t["no filter"] for t in times],
+        "checks": [t["full"] - t["no checks"] for t in times],
+        "dispatch": [t["no filter"] - t["set-up"] for t in times],
+        "total": [t["full"] for t in times],
+    }
+    print(f"many-probes seed {args.seed}, {len(probes)} probes, least of {args.repeat} calls; "
+          "us per probe")
+    for i, src in enumerate(srcs):
+        print(f"  [{i}] {src}")
+    for name, values in rows.items():
+        print(f"  {name:9s}" + "".join(f" {v:8.2f}" for v in values))
+    distinct = distinct_times(modules, 3 * args.repeat)
+    print("_pieces on 300 distinct symbols, us per symbol:"
+          + "".join(f" {v:.2f}" for v in distinct))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
