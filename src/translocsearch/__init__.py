@@ -33,7 +33,7 @@ from typing import Iterable, Iterator
 
 from .automaton import OpCounter, SearchState, automaton_search
 from .dawg import Dawg, build_dawg
-from .dp import DpColumns, dp_search
+from .dp import DpColumns, dp_search, symbol_masks
 from .oracle import enumerate_images, naive_search
 from .seqcore import encode, infer_alphabet
 
@@ -134,6 +134,11 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     with its verdict, so the budget decides exactly as if it had been.
     A verdict is stored only once a later window of its cluster comes,
     so a cluster of one window, the usual kind, costs no dict work.
+    Once the checks of the whole search have spent B, the next check
+    builds the pattern's symbol masks and every check from then on
+    enumerates its units from them; a short search, such as a read with
+    a check or two, never pays for the build.  Both ways give the same
+    verdict and work, so the budget decides the same either way.
     Images and pieces are yielded as the scan reaches them: a window left
     to an engine passes on the symbols it adds past the end of its run, or
     all of its symbols when it starts a run.  The last m-1 symbols of the
@@ -152,6 +157,8 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     left = 0  # check work its cluster may still spend; none left once a run covers it
     seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
     new = ""  # the window checked last, while its verdict is not yet in seen
+    spent = 0  # work of every check so far
+    masks = None  # the pattern's symbol masks, built at the first check once spent reaches budget
     for chunk in chunks:
         text = tail + chunk
         marks = _count_marks(text, m, counts, width)
@@ -173,7 +180,10 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
                     image, work = seen[new]
                     new = ""
                 else:
-                    image, work = _is_image(pattern, new)
+                    if spent >= budget and masks is None:
+                        masks = symbol_masks(pattern)
+                    image, work = _is_image(pattern, new, masks)
+                    spent += work
                 left += budget - work
                 if image:
                     yield None, pos + m
@@ -249,7 +259,7 @@ def _count_marks(text: str, m: int, counts: dict[int, int], width: int) -> bytes
     return marks.to_bytes(digit * (n - m + 1), "little")[::digit]
 
 
-def _is_image(pattern: str, window: str) -> tuple[bool, int]:
+def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) -> tuple[bool, int]:
     """Whether ``window`` is an image of ``pattern``, of the same length,
     and the work spent to tell: the symbols compared in common prefixes
     plus the candidate units tried.
@@ -264,8 +274,22 @@ def _is_image(pattern: str, window: str) -> tuple[bool, int]:
     = ``pattern[s:q]`` reaches p+q-s.  z starts with ``pattern[s]``,
     which gives the candidates for p; w must occur in the pattern after
     s, and once it does not, no longer w does; z is at most the common
-    prefix of ``window[p:]`` and ``pattern[s:]`` long.  A window of
-    random text is rejected after a handful of ``str.find`` calls.
+    prefix of ``window[p:]`` and ``pattern[s:]`` long.
+
+    The units are enumerated one of two ways, which return the same
+    verdict and the same work, so that the check budget decides alike.
+    Without ``masks``, each occurrence q of w is one ``str.find`` call, so
+    a window of random text is rejected after a handful of them.  With
+    ``masks``, the pattern's :func:`translocsearch.dp.symbol_masks` (bit
+    i+1 set where ``pattern[i]`` is the symbol), the occurrences of w
+    after s are one int, bit b set where ``pattern[s+b:]`` starts with w
+    (Shift-And), updated by one AND per symbol that w grows by; a
+    candidate p takes all of its units at once, the bits b = q-s up to
+    its common prefix, and counts one unit each, as the finds do: a unit
+    that reaches m is the last one either way.  The int empties no later
+    than at the first candidate whose w no longer occurs, where the finds
+    stop, so both ways try the same candidates.  The masks cost about m
+    steps to build, which only a search with many checks repays.
     """
     m = len(pattern)
     todo = 1  # prefix lengths reached and not yet extended
@@ -283,24 +307,42 @@ def _is_image(pattern: str, window: str) -> tuple[bool, int]:
             return True, work
         reach = ((2 << e) - 2) << s  # s+1 .. s+e by copies
         first = pattern[s]
-        p = window.find(first, s + 1)
-        while p != -1:
-            w = window[s:p]
-            q = pattern.find(w, s + 1)
-            if q == -1:
-                break
-            e = 1  # common prefix of window[p:] and pattern[s:]
-            while p + e < m and window[p + e] == pattern[s + e]:
-                e += 1
-            work += e
-            while s < q <= s + e:
-                # z = pattern[s:q] matches, as q-s <= e; the candidate still
-                # counts one unit, which the check budget was set against
-                work += 1
-                if p + q - s == m:
-                    return True, work
-                reach |= 1 << (p + q - s)
-                q = pattern.find(w, q + 1)
-            p = window.find(first, p + 1)
+        if masks is None:
+            p = window.find(first, s + 1)
+            while p != -1:
+                w = window[s:p]
+                q = pattern.find(w, s + 1)
+                if q == -1:
+                    break
+                e = 1  # common prefix of window[p:] and pattern[s:]
+                while p + e < m and window[p + e] == pattern[s + e]:
+                    e += 1
+                work += e
+                while s < q <= s + e:
+                    # z = pattern[s:q] matches, as q-s <= e; the candidate still
+                    # counts one unit, which the check budget was set against
+                    work += 1
+                    if p + q - s == m:
+                        return True, work
+                    reach |= 1 << (p + q - s)
+                    q = pattern.find(w, q + 1)
+                p = window.find(first, p + 1)
+        else:
+            occ = (1 << (m - s)) - 2  # shifts b >= 1 where pattern[s+b:] starts with w
+            p = s
+            while True:  # w = window[s:p] grows by window[p]
+                occ &= masks.get(window[p], 0) >> (p + 1)
+                p += 1
+                if not occ:  # w no longer occurs after s; empty once p reaches m
+                    break
+                if window[p] == first:
+                    e = 1  # common prefix of window[p:] and pattern[s:]
+                    while p + e < m and window[p + e] == pattern[s + e]:
+                        e += 1
+                    units = occ & ((2 << e) - 2)  # q-s in 1 .. e
+                    work += e + units.bit_count()
+                    if units >> (m - p):  # q-s = m-p, the largest that fits: the unit reaches m
+                        return True, work
+                    reach |= units << p
         todo |= reach & ~done
     return False, work

@@ -26,7 +26,7 @@ import translocsearch
 from translocsearch import cli, match_ends
 from translocsearch.automaton import SearchState, automaton_search
 from translocsearch.cli import bench_rows
-from translocsearch.dp import DpColumns, dp_search
+from translocsearch.dp import DpColumns, dp_search, symbol_masks
 from translocsearch.oracle import enumerate_images, naive_search
 
 from helpers import EX2_X, EX2_Y, LETTERS, reference_counts, reference_pieces, stdin_of
@@ -502,8 +502,8 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
         works, windows, calls = [], [], Counter()
         check = translocsearch._is_image
 
-        def recorded(pattern, window):
-            image, work = check(pattern, window)
+        def recorded(pattern, window, *masks):
+            image, work = check(pattern, window, *masks)
             works.append(work)
             windows.append(window)
             return image, work
@@ -574,9 +574,9 @@ def test_window_checks_see_each_window_of_a_cluster_once(case):
     for algo in ("dp", "dawg"):
         windows = []
 
-        def recorded(pattern, window):
+        def recorded(pattern, window, *masks):
             windows.append(window)
-            return check(pattern, window)
+            return check(pattern, window, *masks)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "_is_image", recorded)
@@ -630,6 +630,13 @@ def image_cases(draw):
     return pattern, window
 
 
+def unit_masks(way: str, pattern: str) -> dict[str, int] | None:
+    """The ``masks`` argument of `_is_image` for each way of enumerating
+    units: none for ``str.find``, the pattern's symbol masks for the other."""
+    return symbol_masks(pattern) if way == "masks" else None
+
+
+@pytest.mark.parametrize("way", ["find", "masks"])
 @settings(max_examples=500, deadline=None)
 @given(case=image_cases())
 @example(case=("abc", "cba"))  # a permutation that is no image
@@ -637,15 +644,16 @@ def image_cases(draw):
 @example(case=("aaaaaaaa", "aaaaaaaa"))  # unary: every unit of every length fits
 @example(case=("abababab", "babababa"))  # period 2
 @example(case=("abcdef", "efcdab"))  # no image: ab and ef cannot cross cd
-def test_image_check_agrees_with_enumeration(case):
+def test_image_check_agrees_with_enumeration(case, way):
     pattern, window = case
-    image, work = translocsearch._is_image(pattern, window)
+    image, work = translocsearch._is_image(pattern, window, unit_masks(way, pattern))
     assert image == (tuple(window) in enumerate_images(pattern))
     assert work > 0
 
 
+@pytest.mark.parametrize("way", ["find", "masks"])
 @pytest.mark.parametrize("symbols, max_m", [("ab", 8), ("abc", 6)])
-def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
+def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m, way):
     """Every pattern over the alphabet up to ``max_m`` symbols, against
     every window with its symbol counts: 17 576 binary and 40 572 ternary
     pairs."""
@@ -658,12 +666,144 @@ def test_image_check_agrees_with_enumeration_on_every_window(symbols, max_m):
         for words in by_counts.values():
             for pattern in words:
                 images = {"".join(image) for image in enumerate_images(pattern)}
+                masks = unit_masks(way, pattern)
                 for window in words:
-                    assert translocsearch._is_image(pattern, window)[0] == (window in images), (
-                        pattern, window
-                    )
+                    assert translocsearch._is_image(pattern, window, masks)[0] == (
+                        window in images
+                    ), (pattern, window)
                 pairs += len(words)
     assert pairs == {"ab": 17_576, "abc": 40_572}[symbols]
+
+
+@st.composite
+def unit_cases(draw):
+    """(pattern, window): a unary, period-2, A^(m-1)B or random pattern of
+    up to 64 symbols, the random ones also over a symbol beyond latin-1
+    and a lone surrogate; the window is the pattern, an image of it or a
+    shuffle of it, with one symbol replaced by one from FOREIGN at times."""
+    m = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(("unary", "period-2", "A^(m-1)B", "random")))
+    if kind == "random":
+        symbols = draw(st.sampled_from(("ab", "a\u20ac\udc80")))
+        pattern = draw(st.text(symbols, min_size=m, max_size=m))
+    else:
+        pattern = {"unary": "a" * m, "period-2": ("ab" * m)[:m], "A^(m-1)B": "a" * (m - 1) + "b"}[kind]
+    window = draw(st.one_of(
+        st.just(pattern),
+        swapped(pattern),
+        swapped(pattern).flatmap(swapped),
+        st.permutations(pattern).map("".join),
+    ))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        window = window[:i] + draw(st.sampled_from(FOREIGN)) + window[i + 1 :]
+    return pattern, window
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=unit_cases())
+@example(case=("a" * 64, "a" * 64))  # unary: every unit of every length fits
+@example(case=("ab" * 32, "ba" * 32))  # period 2
+@example(case=("a" * 63 + "b", "b" + "a" * 63))  # A^(m-1)B: one unit reaches m
+@example(case=("a" * 63 + "b", "a" * 31 + "N" + "a" * 31 + "b"))  # a foreign symbol
+@example(case=("ab\u20ac\udc80" * 8, "b\u20ac\udc80a" * 8))  # beyond latin-1, a lone surrogate
+def test_both_unit_enumerations_give_the_same_verdict_and_work(case):
+    """`_is_image` returns the same verdict and the same work whether it
+    finds units with ``str.find`` or takes them from the pattern's symbol
+    masks, so the check budget decides the same either way."""
+    pattern, window = case
+    masked = translocsearch._is_image(pattern, window, symbol_masks(pattern))
+    assert masked == translocsearch._is_image(pattern, window)
+
+
+def spied_checks(mp: pytest.MonkeyPatch, pattern: str, chunks, check=None):
+    """The items `_pieces` yields for ``chunks``, and (window, result,
+    masks) of each check it makes, with ``check`` in place of `_is_image`
+    if given."""
+    check = check or translocsearch._is_image
+    calls = []
+
+    def recorded(pattern, window, *masks):
+        result = check(pattern, window, *masks)
+        calls.append((window, result, *masks))
+        return result
+
+    mp.setattr(translocsearch, "_is_image", recorded)
+    return list(translocsearch._pieces(pattern, chunks)), calls
+
+
+def test_a_read_whose_checks_stay_below_the_budget_gets_no_masks(monkeypatch):
+    """A short read like those of `many-probes`: 150 DNA symbols and
+    one image of a 20-symbol pattern, its one candidate window.  Its
+    check spends less than B = CHECK_BUDGET * m^2, so `_is_image` gets no
+    masks and none are built."""
+    rng = random.Random(30)
+    pattern = "".join(rng.choice("ACGT") for _ in range(20))
+    image = pattern[:4] + pattern[9:13] + pattern[4:9] + pattern[13:]
+    read = "".join(rng.choice("ACG") for _ in range(65)) + image + "T" * 65
+    builds = Counter()
+    count_calls(monkeypatch, builds, translocsearch, "symbol_masks", "masks")
+    items, calls = spied_checks(monkeypatch, pattern, (read,))
+    assert items == [(None, 85)]
+    assert [(window, masks) for window, _, masks in calls] == [(image, None)]
+    assert calls[0][1][1] < translocsearch.CHECK_BUDGET * 20 * 20
+    assert builds["masks"] == 0
+
+
+def test_checks_get_masks_once_the_search_has_spent_one_window_budget(monkeypatch):
+    """Period-2 text cut by N into stretches of 32-95 symbols, each a
+    cluster that checks its two distinct windows anew: a check gets the
+    pattern's symbol masks exactly when the checks before it have spent
+    B = CHECK_BUDGET * m^2 or more, and all of them get the one build."""
+    pattern, m = "ab" * 16, 32
+    rng = random.Random(26)
+    text = "N".join(("ab" * 50)[rng.randrange(2) :][: rng.randrange(m, 3 * m)] for _ in range(12))
+    builds = Counter()
+    count_calls(monkeypatch, builds, translocsearch, "symbol_masks", "masks")
+    _, calls = spied_checks(monkeypatch, pattern, split(text, [rng.randrange(len(text)) for _ in range(8)]))
+    budget, spent = translocsearch.CHECK_BUDGET * m * m, 0
+    for _, (_, work), masks in calls:
+        assert (masks is not None) == (spent >= budget), spent
+        spent += work
+    assert calls[0][2] is None and calls[-1][2] == symbol_masks(pattern)
+    assert len({id(masks) for _, _, masks in calls if masks is not None}) == builds["masks"] == 1
+
+
+def test_filter_stream_does_not_depend_on_the_unit_enumeration():
+    """On 200 seeded chunked cases, unary or period-2 text with point
+    mutations or shuffled DNA with images planted, m = 4-40, `_pieces`
+    yields the stream and makes the checks it made before the masks
+    existed, when every check found its units with ``str.find``; in at
+    least a third of the cases some check gets masks."""
+    find = translocsearch._is_image
+    rng = random.Random(27)
+    masked = 0
+    for _ in range(200):
+        m = rng.randint(4, 40)
+        if rng.random() < 0.5:
+            unit = rng.choice(("A", "AC", "GT"))
+            pattern = (unit * m)[:m]
+            text = list((unit * 301)[rng.randrange(len(unit)) :][:300])
+            for _ in range(rng.randint(0, 3)):
+                text[rng.randrange(300)] = rng.choice("ACGT")
+            text = "".join(text)
+        else:
+            pattern = "".join(rng.choice("ACGT") for _ in range(m))
+            pieces = [pattern[i:] + pattern[:i] for i in range(0, m, 3)]
+            pieces += ["".join(rng.sample(pattern, m)) for _ in range(4)]
+            rng.shuffle(pieces)
+            text = "".join(pieces)
+        chunks = split(text, [rng.randrange(len(text) + 1) for _ in range(rng.randint(0, 6))])
+        with pytest.MonkeyPatch.context() as mp:
+            items, calls = spied_checks(mp, pattern, iter(chunks))
+        with pytest.MonkeyPatch.context() as mp:
+            items_before, calls_before = spied_checks(
+                mp, pattern, iter(chunks), lambda p, w, masks: find(p, w)
+            )
+        assert items == items_before, (pattern, text)
+        assert [call[:2] for call in calls] == [call[:2] for call in calls_before], (pattern, text)
+        masked += any(masks is not None for _, _, masks in calls)
+    assert masked >= 200 // 3, masked
 
 
 def test_text_without_a_candidate_window_runs_no_engine(monkeypatch):

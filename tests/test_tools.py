@@ -1,0 +1,24 @@
+"""The measurement scripts under ``tools/`` still run against this checkout."""
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_probe_costs_prints_every_row(monkeypatch, capsys):
+    """`tools/probe_costs.py` with one call per probe and check (under a
+    second): every row of the short-read split, the distinct-symbol case
+    and the periodic-dense checks, both ways, is printed with a number."""
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts perfbench/ first
+    spec = importlib.util.spec_from_file_location("probe_costs", TOOLS / "probe_costs.py")
+    probe_costs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe_costs)
+    assert probe_costs.main(["--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for row in ("set-up", "filter", "checks", "dispatch", "total",
+                "_pieces on 300 distinct symbols", "symbol_masks build"):
+        assert any(line.lstrip().startswith(row) for line in lines), row
+    rows = [line.split() for line in lines if "images (" in line]
+    assert [row[-2] for row in rows] == ["find", "masks"] * 2
+    assert all(float(row[-1]) > 0 for row in rows)

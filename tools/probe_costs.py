@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Split the time of a short-read `match_ends` call into its parts.
+"""Split the time of a short-read `match_ends` call; time periodic window checks.
 
     python3 tools/probe_costs.py [--src DIR ...] [--seed N] [--repeat K]
 
@@ -16,6 +16,15 @@ runs: a pattern of 300 distinct CJK symbols over 9000 symbols of
 shuffled copies of it, in 2 KiB chunks, where most windows keep most
 counts right.
 
+Last it times `_is_image` on the windows that `periodic-dense` checks
+(the paper's worst case: unary and period-2 text), each check the least
+of K calls, both ways of enumerating units: by ``str.find`` (no masks)
+and from the pattern's symbol masks, which `_pieces` passes once a
+search's checks have spent one window's budget.  It prints microseconds
+per pass, images and non-images apart, and the microseconds of one
+`symbol_masks` build.  A checkout whose `_is_image` takes no masks gets
+``-`` in the mask rows.
+
 Each ``--src`` names the ``src`` directory of a checkout (default: this
 one's).  Given several, the script loads each package under its own name
 and lets them take turns on every probe, so a slow spell of a shared
@@ -28,6 +37,7 @@ import random
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +55,7 @@ def load(src: Path, name: str):
     return module
 
 
-def no_check(pattern: str, window: str) -> tuple[bool, int]:
+def no_check(pattern: str, window: str, masks=None) -> tuple[bool, int]:
     return False, 1
 
 
@@ -110,6 +120,64 @@ def distinct_times(modules: list, repeat: int) -> list[float]:
     return [b / len(text) * 1e6 for b in best]
 
 
+def periodic_checks(module, searches) -> list[tuple[str, str, bool]]:
+    """(pattern, window, verdict) of every check `_pieces` makes on the
+    searches, in order."""
+    check = module._is_image
+    checks = []
+
+    def recorded(pattern, window, *masks):
+        image, work = check(pattern, window, *masks)
+        checks.append((pattern, window, image))
+        return image, work
+
+    module._is_image = recorded
+    try:
+        for s in searches:
+            for _ in module._pieces(s.pattern, (s.text,)):
+                pass
+    finally:
+        module._is_image = check
+    return checks
+
+
+def turns(calls: list, repeat: int) -> list[float]:
+    """Least seconds of ``repeat`` runs of each call, the calls taking
+    turns; inf for a call that is None."""
+    best = [math.inf] * len(calls)
+    for _ in range(repeat):
+        for i, call in enumerate(calls):
+            if call is not None:
+                t0 = time.perf_counter()
+                call()
+                best[i] = min(best[i], time.perf_counter() - t0)
+    return best
+
+
+def check_times(modules: list, checks: list[tuple[str, str, bool]], repeat: int) -> list[dict]:
+    """Per module, microseconds per pass of the checks by (verdict, way),
+    each check the least of ``repeat`` calls, inf for the mask way where
+    `_is_image` takes no masks; and under "build" those of one
+    `symbol_masks` build, averaged over the patterns."""
+    patterns = list(dict.fromkeys(pattern for pattern, _, _ in checks))
+    masks = [{p: module.dp.symbol_masks(p) for p in patterns}
+             if module._is_image.__code__.co_argcount > 2 else None for module in modules]
+    keys = [(image, way) for image in (True, False) for way in ("find", "masks")] + ["build"]
+    totals = [dict.fromkeys(keys, 0.0) for _ in modules]
+    for pattern in patterns:
+        builds = turns([partial(module.dp.symbol_masks, pattern) for module in modules], repeat)
+        for total, t in zip(totals, builds):
+            total["build"] += t / len(patterns)
+    for pattern, window, image in checks:
+        finds = [partial(module._is_image, pattern, window) for module in modules]
+        masked = [by and partial(module._is_image, pattern, window, by[pattern])
+                  for module, by in zip(modules, masks)]
+        for way, calls in (("find", finds), ("masks", masked)):
+            for total, t in zip(totals, turns(calls, repeat)):
+                total[image, way] += t
+    return [{key: t * 1e6 for key, t in total.items()} for total in totals]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, action="append")
@@ -119,10 +187,11 @@ def main(argv: list[str] | None = None) -> int:
     srcs = args.src or [ROOT / "src"]
     modules = [load(src, f"translocsearch_{i}") for i, src in enumerate(srcs)]
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import many_probes
+    from workloads import many_probes, periodic_dense
 
     with tempfile.TemporaryDirectory() as work:
         probes = [(s.pattern, s.text) for s in many_probes(args.seed, Path(work)).searches]
+        periodic = periodic_dense(args.seed, Path(work)).searches
     times = probe_times(modules, probes, args.repeat)
     rows = {
         "set-up": [t["set-up"] for t in times],
@@ -140,6 +209,17 @@ def main(argv: list[str] | None = None) -> int:
     distinct = distinct_times(modules, 3 * args.repeat)
     print("_pieces on 300 distinct symbols, us per symbol:"
           + "".join(f" {v:.2f}" for v in distinct))
+    checks = periodic_checks(modules[0], periodic)
+    times = check_times(modules, checks, args.repeat)
+    images = sum(image for _, _, image in checks)
+    print(f"periodic-dense seed {args.seed}, {len(checks)} checks, least of {args.repeat} calls; "
+          "us per pass")
+    for image, label in ((True, f"images ({images})"), (False, f"non-images ({len(checks) - images})")):
+        for way in ("find", "masks"):
+            values = [t[image, way] for t in times]
+            print(f"  {label:18s} {way:5s}"
+                  + "".join(f" {v:9.1f}" if v < math.inf else f" {'-':>9s}" for v in values))
+    print(f"  {'symbol_masks build, us':24s}" + "".join(f" {t['build']:9.2f}" for t in times))
     return 0
 
 
