@@ -128,17 +128,17 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     windows cost less than r * B plus the work of the last one.  The
     run's hits are its offset plus the hits of an engine started fresh
     on it: a hit at position j depends only on the window ending at j.
-    The cluster keeps the verdicts of its last m distinct checked
-    windows, which covers every period up to m in O(m^2) memory; a
-    window found there is not checked again but charged the work stored
-    with its verdict, so the budget decides exactly as if it had been.
-    A verdict is stored only once a later window of its cluster comes,
-    so a cluster of one window, the usual kind, costs no dict work.
-    Once the checks of the whole search have spent B, the next check
-    builds the pattern's symbol masks and every check from then on
-    enumerates its units from them; a short search, such as a read with
-    a check or two, never pays for the build.  Both ways give the same
-    verdict and work, so the budget decides the same either way.
+    One switch serves searches whose checks run long, such as those on
+    periodic text.  Until the checks of the search have spent B, each
+    window is checked with ``str.find`` and nothing is kept, so a read
+    with a check or two pays for neither memo nor masks.  From then on
+    the search keeps the verdicts of the last m distinct windows it
+    checked, across clusters: at most m windows of m symbols, O(m^2),
+    which covers every period up to m.  The first window not found there
+    builds the pattern's symbol masks, for that check and every later one.
+    A window found there is not checked again but charged the work stored
+    with its verdict; both ways of enumerating units give the same verdict
+    and work, so the budget decides as if every window were checked.
     Images and pieces are yielded as the scan reaches them: a window left
     to an engine passes on the symbols it adds past the end of its run, or
     all of its symbols when it starts a run.  The last m-1 symbols of the
@@ -155,10 +155,9 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     run = end = -1  # the open run: offset, and end of its last window (-1: no run open)
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
-    seen = {}  # window -> (verdict, work): its cluster's last m distinct checked windows
-    new = ""  # the window checked last, while its verdict is not yet in seen
-    spent = 0  # work of every check so far
-    masks = None  # the pattern's symbol masks, built at the first check once spent reaches budget
+    spent = 0  # work of the checks before the switch
+    seen = {}  # window -> (verdict, work): the last m distinct windows checked since the switch
+    masks = None  # the pattern's symbol masks, built at the first check after the switch
     for chunk in chunks:
         text = tail + chunk
         marks = _count_marks(text, m, counts, width)
@@ -167,23 +166,20 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
             pos = offset + k
             if pos >= last + m:  # the window opens a cluster
                 left = budget
-                seen.clear()
-                new = ""
             last = pos
             if left > 0:
-                if new:  # the cluster goes on: keep the last check's verdict
+                window = text[k : k + m]
+                if spent < budget:
+                    image, work = _is_image(pattern, window, None)
+                    spent += work
+                elif window in seen:
+                    image, work = seen[window]
+                else:
+                    masks = masks or symbol_masks(pattern)
+                    image, work = _is_image(pattern, window, masks)
                     if len(seen) == m:
                         del seen[next(iter(seen))]
-                    seen[new] = image, work
-                new = text[k : k + m]
-                if seen and new in seen:
-                    image, work = seen[new]
-                    new = ""
-                else:
-                    if spent >= budget and masks is None:
-                        masks = symbol_masks(pattern)
-                    image, work = _is_image(pattern, new, masks)
-                    spent += work
+                    seen[window] = image, work
                 left += budget - work
                 if image:
                     yield None, pos + m

@@ -236,12 +236,15 @@ def bench_rows(
 ) -> list[BenchRow]:
     if sigma < 2:
         raise ValueError("sigma must be at least 2")
-    if not m_list or min(m_list) < 1:
-        raise ValueError("pattern lengths must be positive")
+    # past these bounds trial_seed would repeat another trial's pattern and text
+    if not m_list or not 0 < min(m_list) <= max(m_list) < 1 << 16:
+        raise ValueError("pattern lengths must be in [1, 65535]")
+    if not 0 <= seed < 1 << 32:
+        raise ValueError("seed must be in [0, 2**32)")
     if n < max(m_list):
         raise ValueError("n must be at least the largest pattern length")
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= trials <= 1 << 16:
+        raise ValueError("trials must be in [1, 65536]")
     rows = []
     for m in m_list:
         log_term = math.log(m, sigma)

@@ -386,8 +386,8 @@ class TestBenchCommand:
         assert main(["bench", "--m", "64", "--n", "10", "--sigma", "4"]) == 2
 
     @pytest.mark.parametrize(
-        "option", [["--m", "0,4"], ["--m", ","], ["--trials", "0"]],
-        ids=["m-zero", "m-empty", "trials-zero"],
+        "option", [["--m", "0,4"], ["--m", ","], ["--trials", "0"], ["--trials", "65537"]],
+        ids=["m-zero", "m-empty", "trials-zero", "trials-65537"],
     )
     def test_invalid_lengths_and_trials(self, capsys, option):
         argv = ["bench", "--m", "4", "--n", "100", "--sigma", "4", *option]
@@ -408,6 +408,28 @@ class TestBenchCommand:
             trial_seed(42, m, t) for m in (16, 64, 256) for t in range(5)
         }
         assert len(seeds) == 15
+
+    @pytest.mark.parametrize(
+        "m, trials, seed, message",
+        [
+            (65536, 1, 0, "pattern lengths must be in"),
+            (4, 65537, 0, "trials must be in"),
+            (4, 1, -1, "seed must be in"),
+            (4, 1, 1 << 32, "seed must be in"),
+        ],
+        ids=["m-65536", "trials-65537", "seed-negative", "seed-2^32"],
+    )
+    def test_values_beyond_the_seed_fields_are_refused(self, m, trials, seed, message):
+        """`trial_seed` keeps 16 bits of m and of the trial and 32 of the
+        seed, so past these bounds a trial would repeat another's pattern
+        and text; the check comes before any trial runs."""
+        with pytest.raises(ValueError, match=message):
+            bench_rows([m], n=m, sigma=4, trials=trials, seed=seed)
+
+    def test_values_at_the_seed_fields_bounds_are_accepted(self):
+        rows = [bench_rows([4], n=8, sigma=4, trials=1, seed=s)[0] for s in (0, (1 << 32) - 1)]
+        assert rows[0].seed != rows[1].seed
+        assert trial_seed((1 << 32) - 1, 65535, 65535) == (1 << 64) - 1
 
 
 def cold_import_loads(module: str, *flags: str) -> bool:

@@ -190,6 +190,60 @@ def test_filter_with_multi_word_weights(case):
     assert_filtered_ends(pattern, text, cuts, expected)
 
 
+def long_pattern_case(rng: random.Random, kind: str) -> tuple[str, str]:
+    """(pattern, text) with m = 13-64, beyond the oracle: unary or period-2
+    text with point mutations, blocks A^k B with k within m +- 4, random
+    DNA with images planted, or shuffles of the pattern."""
+    m = rng.randint(13, 64)
+    if kind in ("unary", "period-2"):
+        unit = "A" if kind == "unary" else "AC"
+        pattern = (unit * m)[:m]
+        text = list((unit * 6 * m)[rng.randrange(len(unit)) :][: rng.randint(m, 5 * m)])
+        for _ in range(rng.randint(0, 4)):
+            text[rng.randrange(len(text))] = rng.choice("ACG")
+        return pattern, "".join(text)
+    if kind == "A^(m-1)B":
+        blocks = ("A" * rng.randint(m - 5, m + 3) + "B" for _ in range(rng.randint(1, 5)))
+        return "A" * (m - 1) + "B", "".join(blocks)
+    pattern = "".join(rng.choice("ACGT") for _ in range(m))
+    pieces = []
+    for _ in range(rng.randint(1, 5)):
+        if kind == "planted":
+            i = rng.randrange(m - 1)
+            h = rng.randint(1, m - i - 1)
+            k = rng.randint(1, m - i - h)
+            image = pattern[:i] + pattern[i + h : i + h + k] + pattern[i : i + h] + pattern[i + h + k :]
+            noise = "".join(rng.choice("ACGT") for _ in range(rng.randrange(m)))
+            pieces += [noise, image]
+        else:
+            pieces.append("".join(rng.sample(pattern, m)))
+    return pattern, "".join(pieces)
+
+
+def test_engines_above_the_oracle_limit_agree_with_the_image_check():
+    """On 60 seeded chunked cases with m = 13-64, too long for the naive
+    oracle, `dp` and `dawg` through `match_ends`, under the default budget
+    and with every window left to an engine, hit exactly the ends of the
+    windows `_is_image` accepts.  That check shares no code with the
+    engines' `_close`."""
+    rng = random.Random(32)
+    kinds = ("unary", "period-2", "A^(m-1)B", "planted", "shuffled")
+    for case in range(60):
+        pattern, text = long_pattern_case(rng, kinds[case % len(kinds)])
+        m = len(pattern)
+        expected = [
+            k + m for k in range(len(text) - m + 1)
+            if translocsearch._is_image(pattern, text[k : k + m])[0]
+        ]
+        cuts = [rng.randrange(len(text) + 1) for _ in range(rng.randint(0, 6))]
+        for budget in (translocsearch.CHECK_BUDGET, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(translocsearch, "CHECK_BUDGET", budget)
+                for algo in ("dp", "dawg"):
+                    got = match_ends(pattern, iter(split(text, cuts)), algo)
+                    assert got == expected, (pattern, text, budget, algo)
+
+
 def stream(pattern: str, chunks: list[str]) -> list[tuple[int | None, str | int]]:
     """`_pieces` on ``chunks``, without its (None, None) run ends, whose
     place depends on where the chunks are cut.  Each of them must end the
@@ -520,23 +574,36 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
         assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 1}[kind]
 
 
-def first_in_cluster(pattern: str, text: str) -> list[str]:
-    """Reference: the windows with the pattern's symbol counts, each taken
-    where it first occurs in its cluster of overlapping ones, in text
-    order."""
+def switch_checks(pattern: str, text: str) -> list[tuple[str, bool]]:
+    """Reference: the candidate windows that `_pieces` checks, in text
+    order, each with whether its check gets the unit masks.  A cluster of
+    overlapping windows checks its r-th window only while the work charged
+    before it in the cluster is below r * B, with B = CHECK_BUDGET * m^2.
+    Until the search's checks have spent B, each admitted window is
+    checked; from then on, only one that is not among the last m distinct
+    windows checked since, and a window that is not checked is charged
+    the work of its check all the same."""
     m, counts = len(pattern), Counter(pattern)
-    first, last = [], -m
+    budget = translocsearch.CHECK_BUDGET * m * m
+    checks, since, spent, last, left = [], [], 0, -m, 0
     for k in range(len(text) - m + 1):
         window = text[k : k + m]
         if Counter(window) != counts:
             continue
-        if k >= last + m:
-            seen = set()
+        if k >= last + m:  # the window opens a cluster
+            left = budget
         last = k
-        if window not in seen:
-            seen.add(window)
-            first.append(window)
-    return first
+        if left <= 0:
+            continue
+        work = translocsearch._is_image(pattern, window)[1]
+        if spent < budget:
+            checks.append((window, False))
+            spent += work
+        elif window not in since[-m:]:
+            checks.append((window, True))
+            since.append(window)
+        left += budget - work
+    return checks
 
 
 @st.composite
@@ -563,25 +630,36 @@ def periodic_clusters(draw):
 @given(case=periodic_clusters())
 @example(case=("ab" * 4, "ab" * 10 + "N" + "ab" * 10, [3, 11, 22]))  # one window back after a break
 @example(case=("a" * 6, "a" * 20 + "N" * 7 + "a" * 6, list(range(34))))  # one-symbol chunks
-def test_window_checks_see_each_window_of_a_cluster_once(case):
+@example(case=("a" * 6, "a" * 6 + "N" + "a" * 9, [4, 10]))  # the switch falls inside the second cluster
+# windows of 4-6 units against B = 4: only the work charged to windows found
+# in the memo makes the budget run out, at the 7th window
+@example(case=("aabb", "abba" * 7, [5, 13]))
+def test_window_checks_follow_the_switch(case):
     """On unary and period-2 text, however the chunks cut it, `_is_image`
-    sees each distinct candidate window of a cluster once, where it first
-    occurs, and a window that comes back after a cluster break once more;
-    the hits stay those of the unfiltered engine."""
+    sees every candidate window the budget admits, repeats included and
+    without masks, until the checks have spent B; from then on, with
+    masks, only a window that is not among the last m distinct windows
+    checked since, also across N breaks.  A window found there is charged
+    its stored work, so the stream is the one `reference_pieces` computes
+    with every window checked, and the hits stay those of the unfiltered
+    engine."""
     pattern, text, cuts = case
     expected = dp_search(pattern, text)
+    reference = switch_checks(pattern, text)
     check = translocsearch._is_image
     for algo in ("dp", "dawg"):
-        windows = []
+        checks = []
 
-        def recorded(pattern, window, *masks):
-            windows.append(window)
-            return check(pattern, window, *masks)
+        def recorded(pattern, window, masks=None):
+            checks.append((window, masks is not None))
+            return check(pattern, window, masks)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "_is_image", recorded)
             assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
-        assert windows == first_in_cluster(pattern, text), algo
+        assert checks == reference, algo
+    budget = translocsearch.CHECK_BUDGET
+    assert stream(pattern, split(text, cuts)) == reference_pieces(pattern, text, budget)
 
 
 def test_window_memory_is_flat_in_cluster_length():
@@ -613,6 +691,48 @@ def test_window_memory_is_flat_in_cluster_length():
 
     peak(1_000)  # warm-up
     small, large = peak(1_000), peak(30_000)
+    assert large - small < 8 * 1024, (small, large)
+
+
+def test_window_memory_is_flat_in_cluster_count(monkeypatch):
+    """Clusters of pairwise distinct windows, one per random block of 8 of
+    each of ACGT (m = 32), separated by N, under a budget that the first
+    check or two spend: every window is checked after the switch, and the
+    verdicts kept hold at most m windows however many clusters pass, so
+    peak traced memory from 1e3 to 3e4 symbols grows by less than 8 KB."""
+    monkeypatch.setattr(translocsearch, "CHECK_BUDGET", 0.01)
+    rng = random.Random(31)
+    pattern = "".join(rng.sample("ACGT" * 8, 32))
+    checks = Counter()
+    check = translocsearch._is_image
+
+    def recorded(pattern, window, masks=None):
+        checks[masks is not None] += 1
+        return check(pattern, window, masks)
+
+    monkeypatch.setattr(translocsearch, "_is_image", recorded)
+
+    def blocks(n: int):
+        block = list("ACGT" * 8)
+        for _ in range(n // 33):
+            rng.shuffle(block)
+            yield "".join(block) + "N"
+
+    def peak(n: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pieces = translocsearch._pieces(pattern, blocks(n))
+            assert all(start is None for start, _ in pieces)  # no engine run
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1_000)  # warm-up
+    small = peak(1_000)
+    checks.clear()
+    large = peak(30_000)
+    assert checks[True] + checks[False] == 30_000 // 33 and checks[False] < 10, checks
     assert large - small < 8 * 1024, (small, large)
 
 
