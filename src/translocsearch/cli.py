@@ -83,8 +83,10 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
         """The chunks up to the next header, which is left at ``pos``."""
         nonlocal block, pos, line_start
         while block:
+            # every record start ends at a '>', so a block without one has none;
             # '^' matches at index 0 whatever precedes the block; past 0, after a '\n'
-            header = RECORD_START.search(block, pos if pos or line_start else 1)
+            header = block.find(">", pos) >= 0 and RECORD_START.search(
+                block, pos if pos or line_start else 1)
             if header:
                 yield "".join(block[pos : header.start()].split())
                 pos = header.end()

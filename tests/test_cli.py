@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import translocsearch
 from translocsearch import cli
@@ -138,6 +140,75 @@ class TestParseFasta:
                 assert next(records, None) is None
                 assert "".join(chunks) == seq
                 assert len(chunks) <= math.ceil(len(seq) / cli.CHUNK_CHARS) + 1
+
+    def test_only_a_block_holding_a_gt_is_searched_for_a_record_start(self, monkeypatch):
+        """A 30 000-symbol record in 60 columns spans 30 blocks; only the
+        first holds a '>'.  With a '>' symbol in a later block and a second
+        record after the first, those two blocks are searched too."""
+        real, searches = cli.RECORD_START, []
+
+        class Spy:
+            def search(self, *args):
+                searches.append(args)
+                return real.search(*args)
+
+        monkeypatch.setattr(cli, "RECORD_START", Spy())
+        seq = "ACGT" * 7500
+        lines = [seq[p : p + 60] for p in range(0, len(seq), 60)]
+        with_gt = [*lines[:250], lines[250][:30] + ">" + lines[250][31:], *lines[251:]]
+        for body, expected, calls in (
+            (lines, [("r", seq)], 1),
+            ([*with_gt, ">s x", "GATTACA"], [("r", "".join(with_gt)), ("s", "GATTACA")], 3),
+        ):
+            searches.clear()
+            text = ">r\n" + "\n".join(body) + "\n"
+            records = [(r.id, "".join(r.chunks)) for r in parse_fasta(io.StringIO(text))]
+            assert records == expected
+            assert len(searches) == calls
+
+
+def reference_fasta(text: str) -> tuple[list[tuple[str, str]], str | None]:
+    """The records of ``text`` by the documented rules, line by line, and
+    the message of the error that ends them, if any: a line (split on
+    '\\n') whose first non-blank character is '>' opens a record whose ID
+    is the first word after the '>'; the record's sequence is its other
+    lines with all whitespace removed."""
+    records, error = [], None  # (ID, sequence lines)
+    for line in text.split("\n"):
+        head = line.lstrip()
+        if head.startswith(">"):
+            words = head[1:].split(maxsplit=1)
+            if not words:
+                error = "empty FASTA header"
+                break
+            records.append((words[0], []))
+        elif records:
+            records[-1][1].append("".join(line.split()))
+        elif head:
+            error = "missing FASTA header"
+            break
+    return [(record_id, "".join(lines)) for record_id, lines in records], error
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.booleans(), st.text(alphabet="Ac> \t\r\nx\xa0\x0c\x1c", max_size=40))
+@example(True, "r x\nAB>A\n  >r2\nBA\n")
+@example(False, " \xa0>\x1c\n>a")
+def test_parse_fasta_follows_the_line_rules(leading_gt, body):
+    """At any block size, ``parse_fasta`` gives the records of the line
+    rules, up to the error that ends them, with the same message."""
+    text = ">" * leading_gt + body
+    expected = reference_fasta(text)
+    for chunk_chars in (1, 2, 3, 7, cli.CHUNK_CHARS):
+        records, error = [], None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "CHUNK_CHARS", chunk_chars)
+            try:
+                for record in parse_fasta(io.StringIO(text)):
+                    records.append((record.id, "".join(record.chunks)))
+            except ValueError as exc:
+                error = str(exc)
+        assert (records, error) == expected, chunk_chars
 
 
 class TestSearchCommand:

@@ -1,5 +1,6 @@
 """The measurement scripts under ``tools/`` still run against this checkout."""
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -7,9 +8,10 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def test_probe_costs_prints_every_row(monkeypatch, capsys):
-    """`tools/probe_costs.py` with one call per probe and check (under a
-    second): every row of the short-read split, the distinct-symbol case
-    and the periodic-dense checks, both ways, is printed with a number."""
+    """`tools/probe_costs.py` with one call per probe, check and FASTA
+    file (about a second): every row of the short-read split, the
+    distinct-symbol case, the periodic-dense checks, both ways, and the
+    steps of the FASTA path is printed with a number."""
     monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts perfbench/ first
     spec = importlib.util.spec_from_file_location("probe_costs", TOOLS / "probe_costs.py")
     probe_costs = importlib.util.module_from_spec(spec)
@@ -22,3 +24,7 @@ def test_probe_costs_prints_every_row(monkeypatch, capsys):
     rows = [line.split() for line in lines if "images (" in line]
     assert [row[-2] for row in rows] == ["find", "masks"] * 2
     assert all(float(row[-1]) > 0 for row in rows)
+    fasta = [line.rsplit(maxsplit=1) for line in lines[-5:]]  # the FASTA path, printed last
+    assert [name.strip() for name, _ in fasta] == [
+        "read and decode", "header search", "strip and _upper", "_count_marks", "rest of _pieces"]
+    assert all(math.isfinite(float(value)) for _, value in fasta)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Split the time of a short-read `match_ends` call; time periodic window checks.
+"""Split the time of short-read and FASTA searches; time periodic window checks.
 
     python3 tools/probe_costs.py [--src DIR ...] [--seed N] [--repeat K]
 
@@ -25,13 +25,27 @@ per pass, images and non-images apart, and the microseconds of one
 `symbol_masks` build.  A checkout whose `_is_image` takes no masks gets
 ``-`` in the mask rows.
 
+Then it follows the FASTA path of `utd search` on the contig files of
+perfbench's `dna-scan` workload, in microseconds per block of
+CHUNK_CHARS characters, each step the least of K runs per file: reading
+and decoding the file (``_open_text``); the header search, which is
+`parse_fasta` on the decoded text less the whitespace strip of its blocks,
+so it holds the reader's per-block bookkeeping too; the whitespace strip
+and `_upper` of each block; the `_count_marks` calls that `_pieces` makes
+on the uppercased chunks; and the rest of `_pieces`, its window checks
+included.  The benchmark's trace cannot split these: it times
+`parse_fasta`, a generator function, only as far as creating the
+generator.
+
 Each ``--src`` names the ``src`` directory of a checkout (default: this
 one's).  Given several, the script loads each package under its own name
 and lets them take turns on every probe, so a slow spell of a shared
 machine hits them alike; it prints one column per checkout.
 """
 import argparse
+import importlib
 import importlib.util
+import io
 import math
 import random
 import sys
@@ -178,6 +192,75 @@ def check_times(modules: list, checks: list[tuple[str, str, bool]], repeat: int)
     return [{key: t * 1e6 for key, t in total.items()} for total in totals]
 
 
+def drain(items) -> None:
+    for _ in items:
+        pass
+
+
+def read_file(cli, path: Path) -> None:
+    """Read and decode the file at ``path`` in blocks, as `utd search` does."""
+    with cli._open_text(str(path)) as fh:
+        drain(iter(partial(fh.read, cli.CHUNK_CHARS), ""))
+
+
+def read_records(cli, text: str) -> None:
+    for record in cli.parse_fasta(io.StringIO(text)):
+        drain(record.chunks)
+
+
+def fasta_calls(module, path: Path, pattern: str) -> tuple[int, dict]:
+    """The number of blocks in the FASTA file at ``path``, and the calls
+    that time each step of its search for ``pattern``."""
+    cli = importlib.import_module(module.__name__ + ".cli")
+    text = path.read_text()
+    size = cli.CHUNK_CHARS
+    blocks = [text[i : i + size] for i in range(0, len(text), size)]
+    chunks = [chunk for record in cli.parse_fasta(io.StringIO(text)) for chunk in record.chunks]
+    upper = list(map(cli._upper, chunks))
+    count_marks, marks = module._count_marks, []
+
+    def recorded(*args):
+        marks.append(args)
+        return count_marks(*args)
+
+    module._count_marks = recorded
+    try:
+        drain(module._pieces(pattern, upper))
+    finally:
+        module._count_marks = count_marks
+    return len(blocks), {
+        "read": partial(read_file, cli, path),
+        "parse": partial(read_records, cli, text),
+        "strip": lambda: ["".join(block.split()) for block in blocks],
+        "upper": lambda: [cli._upper(chunk) for chunk in chunks],
+        "marks": lambda: [count_marks(*args) for args in marks],
+        "pieces": lambda: drain(module._pieces(pattern, upper)),
+    }
+
+
+def fasta_times(modules: list, searches, repeat: int) -> tuple[int, list[dict]]:
+    """The number of blocks in the FASTA files of ``searches``, and per
+    module the seconds of each step, the least of ``repeat`` runs per file,
+    summed over the files."""
+    keys = ("read", "parse", "strip", "upper", "marks", "pieces")
+    totals = [dict.fromkeys(keys, 0.0) for _ in modules]
+    blocks = 0
+    for s in searches:
+        path = Path(s.argv[s.argv.index("--fasta") + 1])
+        calls = [fasta_calls(module, path, s.pattern) for module in modules]
+        blocks += calls[0][0]
+        for key in keys:
+            for total, t in zip(totals, turns([call[key] for _, call in calls], repeat)):
+                total[key] += t
+    return blocks, [{
+        "read and decode": t["read"],
+        "header search": t["parse"] - t["strip"],
+        "strip and _upper": t["strip"] + t["upper"],
+        "_count_marks": t["marks"],
+        "rest of _pieces": t["pieces"] - t["marks"],
+    } for t in totals]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, action="append")
@@ -187,11 +270,13 @@ def main(argv: list[str] | None = None) -> int:
     srcs = args.src or [ROOT / "src"]
     modules = [load(src, f"translocsearch_{i}") for i, src in enumerate(srcs)]
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import many_probes, periodic_dense
+    from workloads import dna_scan, many_probes, periodic_dense
 
     with tempfile.TemporaryDirectory() as work:
         probes = [(s.pattern, s.text) for s in many_probes(args.seed, Path(work)).searches]
         periodic = periodic_dense(args.seed, Path(work)).searches
+        contigs = dna_scan(args.seed, Path(work)).searches
+        blocks, steps = fasta_times(modules, contigs, args.repeat)
     times = probe_times(modules, probes, args.repeat)
     rows = {
         "set-up": [t["set-up"] for t in times],
@@ -220,6 +305,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {label:18s} {way:5s}"
                   + "".join(f" {v:9.1f}" if v < math.inf else f" {'-':>9s}" for v in values))
     print(f"  {'symbol_masks build, us':24s}" + "".join(f" {t['build']:9.2f}" for t in times))
+    print(f"dna-scan seed {args.seed}, {len(contigs)} FASTA files, {blocks} blocks, "
+          f"least of {args.repeat} runs; us per block")
+    for step in steps[0]:
+        print(f"  {step:17s}" + "".join(f" {t[step] / blocks * 1e6:8.2f}" for t in steps))
     return 0
 
 
