@@ -119,7 +119,7 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     window with every pattern symbol's count right holds m pattern
     symbols and no other.  :func:`_count_marks` finds them a chunk at a
     time, in a dozen big-int operations per distinct pattern symbol, from
-    the symbol counts and code width read off the pattern once per search.
+    the symbol counts read off the pattern once per search.
 
     Candidate windows that overlap form a cluster.  Its windows are
     checked one by one, the r-th only if the r-1 before it were and their
@@ -147,9 +147,6 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
     counts = {ord(c): pattern.count(c) for c in dict.fromkeys(pattern)}  # code point -> count
-    # bytes per symbol code: 1 where any symbol beyond latin-1 can become
-    # "?", 4 (UTF-32) where the pattern holds "?" or such a symbol
-    width = 4 if "?" in pattern or not pattern.isascii() and max(pattern) > "\xff" else 1
     tail = ""  # the last m-1 symbols before the chunk
     offset = 0  # symbols before text[0]
     run = end = -1  # the open run: offset, and end of its last window (-1: no run open)
@@ -160,7 +157,7 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     masks = None  # the pattern's symbol masks, built at the first check after the switch
     for chunk in chunks:
         text = tail + chunk
-        marks = _count_marks(text, m, counts, width)
+        marks = _count_marks(text, m, counts)
         k = marks.find(1)
         while k != -1:
             pos = offset + k
@@ -202,21 +199,22 @@ _EQ = [bytes(v) + b"\1" + bytes(255 - v) for v in range(256)]
 
 def _equal(data: bytes, value: int) -> int:
     """The int whose byte i is 1 where code point i of ``data``, UTF-32-LE,
-    equals ``value``, and 0 elsewhere: each of its 4 byte lanes is compared
-    on its own."""
+    equals ``value``, and 0 elsewhere: each of its 3 low byte lanes is
+    compared on its own; byte 3 of a code point up to U+10FFFF is 0."""
     eq = -1
-    for j in range(4):
+    for j in range(3):
         eq &= int.from_bytes(data[j::4].translate(_EQ[value >> 8 * j & 255]), "little")
     return eq
 
 
-def _count_marks(text: str, m: int, counts: dict[int, int], width: int) -> bytes:
+def _count_marks(text: str, m: int, counts: dict[int, int]) -> bytes:
     """One byte per window of m symbols, ``text[k:k+m]`` for k = 0 ..
     len(text)-m: 1 if the window holds each code point c of ``counts``
     exactly its count times, else 0.
 
-    ``text`` becomes its code points, ``width`` bytes each: latin-1, with
-    ``?`` for any symbol beyond, or UTF-32.  The 0/1 indicator x of c, read
+    A c below 256 other than ``?`` is compared on the latin-1 bytes of
+    ``text``, where any symbol beyond latin-1 becomes ``?``; any other c
+    on the UTF-32 code units.  The 0/1 indicator x of c, read
     as an int in digits of w = ``digit`` bytes (1, 2 or 4, as m needs), becomes
     ((x << 8wm) - x) // (256^w - 1), which is x times a digit 1 repeated m
     times: digit i is the count of c in the window ending at i.  No count
@@ -240,7 +238,7 @@ def _count_marks(text: str, m: int, counts: dict[int, int], width: int) -> bytes
     skip = shift - 8 * digit  # digits 0 .. m-2 count no whole window
     marks = int.from_bytes((1).to_bytes(digit, "little") * (n - m + 1), "little")  # every window
     for code, count in counts.items():
-        if width == 1:
+        if code < 256 and code != 63:  # 63: "?", which a symbol beyond latin-1 becomes
             x = int.from_bytes(text.encode("latin-1", "replace").translate(_EQ[code]), "little")
         else:  # a lone surrogate too is its own code point
             x = _equal(text.encode("utf-32-le", "surrogatepass"), code)

@@ -144,13 +144,13 @@ class SearchState(DpColumns):
         most m+1 references to end-position masks, so the counts reported
         here are the whole working memory; nothing grows with the text.
         """
-        width = self.m + 1
+        bits = self.m + 1
         return {
             "chain_slots": len(self._f),
             "prefix_slots": len(self._p),
-            "prefix_bits": len(self._p) * width,
+            "prefix_bits": len(self._p) * bits,
             "dawg_states": self.dawg.state_count,
-            "endpos_bits": self.dawg.state_count * width,
+            "endpos_bits": self.dawg.state_count * bits,
         }
 
 

@@ -14,7 +14,11 @@ the set-up of `_pieces` and its bookkeeping per chunk.  It then times
 `_pieces` on the case of many distinct pattern symbols, the least of 3K
 runs: a pattern of 300 distinct CJK symbols over 9000 symbols of
 shuffled copies of it, in 2 KiB chunks, where most windows keep most
-counts right.
+counts right.  Then it times `_pieces` on a mixed alphabet, in nanoseconds
+per symbol, the least of K runs: a 64-symbol DNA pattern over 2*10^5
+random DNA symbols in 1 KiB chunks, as it is and with its last symbol
+replaced by ``?``, by U+20AC and by U+4E00, and asserts that the
+checkouts yield the same stream.
 
 Last it times `_is_image` on the windows that `periodic-dense` checks
 (the paper's worst case: unary and period-2 text), each check the least
@@ -134,6 +138,28 @@ def distinct_times(modules: list, repeat: int) -> list[float]:
     return [b / len(text) * 1e6 for b in best]
 
 
+MIXED_LAST = {"plain": None, "last ?": "?", "last U+20AC": "\u20ac", "last U+4E00": "\u4e00"}
+
+
+def mixed_times(modules: list, repeat: int) -> dict[str, list[float]]:
+    """Per row of MIXED_LAST, per module, nanoseconds per symbol of
+    `_pieces` on 2*10^5 random DNA symbols in 1 KiB chunks, the least of
+    ``repeat`` runs, for a 64-symbol DNA pattern with its last symbol
+    replaced as the row says."""
+    rng = random.Random(64)
+    text = "".join(rng.choices("ACGT", k=200_000))
+    chunks = [text[i : i + 1024] for i in range(0, len(text), 1024)]
+    dna = "".join(rng.choices("ACGT", k=64))
+    rows = {}
+    for row, last in MIXED_LAST.items():
+        pattern = dna if last is None else dna[:-1] + last
+        streams = [list(module._pieces(pattern, chunks)) for module in modules]
+        assert all(stream == streams[0] for stream in streams), f"the streams differ: {row}"
+        calls = [partial(run_pieces, module, pattern, chunks) for module in modules]
+        rows[row] = [t / len(text) * 1e9 for t in turns(calls, repeat)]
+    return rows
+
+
 def periodic_checks(module, searches) -> list[tuple[str, str, bool]]:
     """(pattern, window, verdict) of every check `_pieces` makes on the
     searches, in order."""
@@ -197,6 +223,10 @@ def drain(items) -> None:
         pass
 
 
+def run_pieces(module, pattern: str, chunks: list[str]) -> None:
+    drain(module._pieces(pattern, chunks))
+
+
 def read_file(cli, path: Path) -> None:
     """Read and decode the file at ``path`` in blocks, as `utd search` does."""
     with cli._open_text(str(path)) as fh:
@@ -234,7 +264,7 @@ def fasta_calls(module, path: Path, pattern: str) -> tuple[int, dict]:
         "strip": lambda: ["".join(block.split()) for block in blocks],
         "upper": lambda: [cli._upper(chunk) for chunk in chunks],
         "marks": lambda: [count_marks(*args) for args in marks],
-        "pieces": lambda: drain(module._pieces(pattern, upper)),
+        "pieces": partial(run_pieces, module, pattern, upper),
     }
 
 
@@ -294,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     distinct = distinct_times(modules, 3 * args.repeat)
     print("_pieces on 300 distinct symbols, us per symbol:"
           + "".join(f" {v:.2f}" for v in distinct))
+    print(f"_pieces on 2e5 DNA symbols, m = 64, least of {args.repeat} runs; ns per symbol")
+    for row, values in mixed_times(modules, args.repeat).items():
+        print(f"  {row:12s}" + "".join(f" {v:8.1f}" for v in values))
     checks = periodic_checks(modules[0], periodic)
     times = check_times(modules, checks, args.repeat)
     images = sum(image for _, _, image in checks)
