@@ -21,14 +21,15 @@ Those windows are found a chunk at a time, with a dozen big-int operations
 per distinct pattern symbol in place of a loop over the text.  They
 are checked one by one, without an engine, until the checks of a
 stretch of overlapping windows exceed a work budget of about m^2/4 per
-window; an engine runs over the rest of the stretch.
+window; an engine runs over the rest of the stretch.  :func:`_ends` yields
+the hits as the scan finds them, so ``utd search`` writes each TSV line
+before the next chunk is read.
 
 :func:`encode` and :func:`infer_alphabet` map symbols to int codes; no
 search uses them, and they stay importable only for the benchmark in
 ``perfbench``.
 """
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .automaton import OpCounter, SearchState, automaton_search
@@ -61,42 +62,15 @@ def match_ends(
     algo: str = "dawg",
 ) -> list[int]:
     """Match end positions for a plain string, or for an iterable of string
-    chunks searched as their concatenation; the one engine dispatch.
+    chunks searched as their concatenation; the list of what :func:`_ends`,
+    the one engine dispatch, yields.
 
-    Chunks are read one at a time, so memory grows with the largest chunk,
-    not with the text.  ``dp`` and ``dawg`` run only on the runs of text
-    that :func:`_pieces` passes, each run from a fresh start, and the
-    windows it checked on their own are hits without an engine.  A run's
-    engine returns once the scan has passed the run, before the next chunk
-    is read.  The engines read the runs' symbols as they are; the DAWG is
-    built only once the first run starts.  ``naive`` sees the whole text,
-    so it checks the filter and the window check too; it refuses patterns
-    longer than :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
+    Chunks are read one at a time, so memory grows with the largest chunk
+    and the hits, not with the text.  ``naive`` sees the whole text, so it
+    checks the filter and the window check too; it refuses patterns longer
+    than :data:`translocsearch.oracle.NAIVE_LIMIT` (12).
     """
-    if not pattern:
-        raise ValueError("empty pattern")
-    chunks = (text,) if isinstance(text, str) else text
-    if algo == "naive":
-        return naive_search(pattern, chain.from_iterable(chunks))
-    if algo not in ("dp", "dawg"):
-        raise ValueError(f"unknown algorithm {algo!r}")
-    hits = []
-    d = None
-    for start, pieces in groupby(_pieces(pattern, chunks), itemgetter(0)):
-        if start is None:  # hit ends of images checked on their own, and run ends
-            for _, end in pieces:  # no generator: the group may span every later chunk
-                if end:
-                    hits.append(end)
-            continue
-        run = chain.from_iterable(map(itemgetter(1), pieces))
-        if algo == "dp":
-            ends = dp_search(pattern, run)
-        else:
-            if d is None:  # the first run
-                d = build_dawg(pattern)
-            ends, _ = automaton_search(pattern, run, d, count=False)
-        hits.extend(start + j for j in ends)
-    return hits
+    return list(_ends(pattern, (text,) if isinstance(text, str) else text, algo))
 
 
 # Check work a cluster of overlapping candidate windows may spend per
@@ -107,13 +81,12 @@ def match_ends(
 CHECK_BUDGET = 0.25
 
 
-def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, str | int | None]]:
-    """What is left of the text once windows that cannot match are
-    skipped, in text order, each item keyed by what it is: (None, end) for
-    a window that :func:`_is_image` found to be an image, ``end`` being its
-    1-based hit end; (run offset, symbols) for the pieces of a run an
-    engine must step over; and (None, None) once a chunk ends past a run's
-    last window, which ends the run, as no later window can continue it.
+def _ends(pattern: str, chunks: Iterable[str], algo: str) -> Iterator[int]:
+    """The 1-based hit ends of ``pattern`` in the concatenation of
+    ``chunks``, in text order, each yielded as the scan finds it, so
+    before the next chunk is read.  ``naive`` runs on the whole text;
+    ``dp`` and ``dawg`` step only over what is left of the text once the
+    windows that cannot match are skipped.
 
     Only windows whose symbol counts equal the pattern's can match; a
     window with every pattern symbol's count right holds m pattern
@@ -125,9 +98,13 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     checked one by one, the r-th only if the r-1 before it were and their
     check work is below r * B, with B = CHECK_BUDGET * m^2; the rest of
     the cluster, if any, is one run.  So the checks of a cluster of r
-    windows cost less than r * B plus the work of the last one.  The
-    run's hits are its offset plus the hits of an engine started fresh
-    on it: a hit at position j depends only on the window ending at j.
+    windows cost less than r * B plus the work of the last one.  A run is
+    stepped through an engine started fresh where it starts: a hit at
+    position j depends only on the window ending at j.  A window left to
+    the engine steps it over the symbols it adds past the end of its run,
+    or all of its symbols when it starts a run.  So one engine's ring is
+    live at a time, until the next run starts or the search ends; the DAWG
+    is built at the first run.
     One switch serves searches whose checks run long, such as those on
     periodic text.  Until the checks of the search have spent B, each
     window is checked with ``str.find`` and nothing is kept, so a read
@@ -135,26 +112,32 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
     the search keeps the verdicts of the last m distinct windows it
     checked, across clusters: at most m windows of m symbols, O(m^2),
     which covers every period up to m.  The first window not found there
-    builds the pattern's symbol masks, for that check and every later one.
-    A window found there is not checked again but charged the work stored
-    with its verdict; both ways of enumerating units give the same verdict
-    and work, so the budget decides as if every window were checked.
-    Images and pieces are yielded as the scan reaches them: a window left
-    to an engine passes on the symbols it adds past the end of its run, or
-    all of its symbols when it starts a run.  The last m-1 symbols of the
-    text are kept for the windows that end in the next chunk.
+    builds the pattern's symbol masks, for that check and every later one,
+    and ``dp`` shares them.  A window found there is not checked again but
+    charged the work stored with its verdict; both ways of enumerating
+    units give the same verdict and work, so the budget decides as if
+    every window were checked.  The last m-1 symbols of the text are kept
+    for the windows that end in the next chunk.
     """
+    if not pattern:
+        raise ValueError("empty pattern")
+    if algo == "naive":
+        yield from naive_search(pattern, chain.from_iterable(chunks))
+        return
+    if algo not in ("dp", "dawg"):
+        raise ValueError(f"unknown algorithm {algo!r}")
     m = len(pattern)
     budget = CHECK_BUDGET * m * m
     counts = {ord(c): pattern.count(c) for c in dict.fromkeys(pattern)}  # code point -> count
     tail = ""  # the last m-1 symbols before the chunk
     offset = 0  # symbols before text[0]
-    run = end = -1  # the open run: offset, and end of its last window (-1: no run open)
+    end = -1  # end of the last run's last window
     last = -m  # the last candidate window's position
     left = 0  # check work its cluster may still spend; none left once a run covers it
     spent = 0  # work of the checks before the switch
     seen = {}  # window -> (verdict, work): the last m distinct windows checked since the switch
-    masks = None  # the pattern's symbol masks, built at the first check after the switch
+    masks = None  # the pattern's symbol masks, built at the first check after the switch or dp run
+    dawg = None  # built at the first run
     for chunk in chunks:
         text = tail + chunk
         marks = _count_marks(text, m, counts)
@@ -179,18 +162,24 @@ def _pieces(pattern: str, chunks: Iterable[str]) -> Iterator[tuple[int | None, s
                     seen[window] = image, work
                 left += budget - work
                 if image:
-                    yield None, pos + m
+                    yield pos + m
             else:
-                if pos > end:  # the window does not continue the open run
-                    run = end = pos
-                yield run, text[k + end - pos : k + m]
+                if pos > end:  # the window does not continue the last run: start one
+                    end = pos
+                    if algo == "dp":
+                        masks = masks or symbol_masks(pattern)
+                        push = DpColumns(m).push
+                        step = lambda symbol: push(masks.get(symbol, 0))
+                    else:
+                        dawg = dawg or build_dawg(pattern)
+                        step = SearchState(pattern, dawg).step
+                for j, symbol in enumerate(text[k + end - pos : k + m], end + 1):
+                    if step(symbol):
+                        yield j
                 end = pos + m
             k = marks.find(1, k + 1)
         tail = text[max(0, len(text) - m + 1) :]
         offset += len(text) - len(tail)
-        if 0 <= end < offset:  # no later window can continue the open run
-            yield None, None
-            end = -1
 
 
 # _EQ[v] maps byte v to 1 and every other byte to 0 (for bytes.translate)

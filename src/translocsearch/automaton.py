@@ -19,8 +19,9 @@ to right, one symbol at a time.  Symbols are any hashable values, such as
 the characters of a ``str``; one absent from the pattern never matches.
 
 The step counts nothing.  Work counters are derived per column, after
-the step, from what the ring already holds (:meth:`SearchState.tally`);
-only callers that want them pay for them.
+the step, from what the ring already holds (:meth:`SearchState.tally`):
+:func:`automaton_search` pays for them, the search behind
+:func:`translocsearch.match_ends` steps states without them.
 """
 from __future__ import annotations
 
@@ -158,20 +159,15 @@ def automaton_search(
     pattern: Sequence[Hashable],
     text: Iterable[Hashable],
     dawg: Dawg | None = None,
-    count: bool = True,
-) -> tuple[list[int], OpCounter | None]:
+) -> tuple[list[int], OpCounter]:
     """The 1-based match end positions in ``text``, any iterable of
-    symbols (streams are consumed incrementally), and the work counters.
-
-    The counter is None when ``count`` is false; the search then does no
-    counting work at all."""
+    symbols (streams are consumed incrementally), and the work counters."""
     state = SearchState(pattern, dawg)
-    counter = OpCounter() if count else None
+    counter = OpCounter()
     hits = []
     step = state.step
     for j, symbol in enumerate(text, start=1):
         if step(symbol):
             hits.append(j)
-        if counter is not None:
-            state.tally(counter)
+        state.tally(counter)
     return hits, counter

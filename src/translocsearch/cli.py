@@ -3,8 +3,9 @@
 Searching reports one line per match (TSV `record<TAB>end` or a JSON
 array); FASTA records are searched independently and matches never span
 record boundaries.  Input is streamed into the engines a block of at most
-CHUNK_CHARS characters at a time, so memory depends on the pattern and
-not on the text.
+CHUNK_CHARS characters at a time, and each TSV line is written as its hit
+is found, so TSV memory depends on the pattern and not on the text or the
+hits; JSON holds a record's hits until the record ends.
 Benchmarking runs the automaton engine on uniform random pattern/text
 pairs and emits machine-independent work counters as CSV; rows are
 deterministic for a given seed.
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from functools import lru_cache, partial
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
-from . import match_ends
+from . import _ends
 from .automaton import automaton_search
 
 # every text source is read in blocks of this many characters (bytes, for a file)
@@ -193,8 +194,8 @@ def _open_text(path: str) -> _Utf8File:
 
 
 def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
-    """TSV lines are written as each record finishes, so an error in a
-    later record leaves them in place; JSON is written once, at the end."""
+    """TSV lines are written as the search finds each hit, so an error
+    leaves every line found before it; JSON is written once, at the end."""
     # the pattern and every text source are uppercased, chunk by chunk
     pattern_raw = _upper(_load_pattern(args))
     if not pattern_raw:
@@ -207,10 +208,9 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     matches = []  # (record ID, hit ends) per record, for JSON
     with _open_records(args) as records:
         for record in records:
-            chunks = map(_upper, record.chunks)
-            ends = match_ends(pattern_raw, chunks, args.algo)
+            ends = _ends(pattern_raw, map(_upper, record.chunks), args.algo)
             if args.format == "json":
-                matches.append((record.id, ends))
+                matches.append((record.id, list(ends)))
             else:
                 for end in ends:
                     out.write(f"{record.id}\t{end}\n")

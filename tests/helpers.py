@@ -203,8 +203,8 @@ def reference_counts(pattern: str, text: Iterable[str]) -> OpCounter:
 
 
 def reference_pieces(pattern: str, text: str, budget: float) -> list[tuple[int | None, str | int]]:
-    """The stream `translocsearch._pieces` yields for ``text`` under check
-    budget ``budget``, without its (None, None) run ends, recomputed from
+    """What the scan `translocsearch._ends` checks and steps over in
+    ``text`` under check budget ``budget``, recomputed from
     the whole text: the windows whose `Counter` equals the pattern's, in
     clusters of overlapping ones.  The r-th window of a cluster is checked
     on its own if every window before it was and their check work is below

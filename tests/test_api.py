@@ -52,8 +52,7 @@ def test_empty_text_is_empty_report_everywhere():
         results = [
             ts.naive_search(EX2_X, y),
             ts.dp_search(EX2_X, y),
-            ts.automaton_search(EX2_X, y, count=True)[0],
-            ts.automaton_search(EX2_X, y, count=False)[0],
+            ts.automaton_search(EX2_X, y)[0],
         ] + [ts.match_ends(EX2_X, y, algo) for algo in ("naive", "dp", "dawg")]
         for ends in results:
             assert type(ends) is list
@@ -102,7 +101,9 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     call must stay reachable that way from both entry points, and neither
     engine may run through the other's layer (`SearchState` inherits
     `DpColumns.push`).  The engines read symbols as they come, so no
-    search calls `encode`; it stays importable for the benchmark."""
+    search calls `encode`; it stays importable for the benchmark.  A
+    search steps each run's engine itself, so it calls neither
+    `dp_search` nor `automaton_search`."""
     fasta = tmp_path / "t.fa"
     # r3's windows are rotations of the pattern, each cheap to check
     fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n>r3\n{EX2_X * 3}\n")
@@ -127,8 +128,8 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
         tracer.uninstall()
     assert tracer.missing == []
     recorded = {tracer.names[i] for i in tracer.name_ids}
-    assert "seqcore.encode" not in recorded
-    assert recorded == {name for name, _, _ in LAYER_CALLS} - {"seqcore.encode"}
+    unused = {"seqcore.encode", "dp.dp_search", "automaton.automaton_search"}
+    assert recorded == {name for name, _, _ in LAYER_CALLS} - unused
     for algo, names in per_pass.items():
         assert other_layer[algo] not in names, algo
 

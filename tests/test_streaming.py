@@ -13,9 +13,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import accumulate, product
 from pathlib import Path
 
 import pytest
@@ -104,12 +105,10 @@ def test_chunked_text_matches_whole_text_on_every_engine(pattern, case):
 @example(pattern="abab", text="ab" * 20)  # period 2
 def test_counted_search_matches_reference_counts(pattern, text):
     """The per-column tally equals counts enumerated pair by pair, and
-    counting changes no hit."""
-    ends, counter = automaton_search(pattern, text)
+    the hits are the DP's."""
+    ends, counter = automaton_search(pattern, iter(text))
     assert counter == reference_counts(pattern, text)
-    uncounted, none = automaton_search(pattern, iter(text), count=False)
-    assert none is None
-    assert ends == uncounted == dp_search(pattern, text)
+    assert ends == dp_search(pattern, text)
 
 
 @st.composite
@@ -150,7 +149,7 @@ def assert_filtered_ends(pattern: str, text: str, cuts: list[int], expected: lis
     BUDGETS, and the unfiltered engines on the whole text, all give
     ``expected``."""
     assert dp_search(pattern, text) == expected
-    assert automaton_search(pattern, text, count=False)[0] == expected
+    assert automaton_search(pattern, text)[0] == expected
     for budget in BUDGETS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
@@ -245,30 +244,61 @@ def test_engines_above_the_oracle_limit_agree_with_the_image_check():
 
 
 def stream(pattern: str, chunks: list[str]) -> list[tuple[int | None, str | int]]:
-    """`_pieces` on ``chunks``, without its (None, None) run ends, whose
-    place depends on where the chunks are cut.  Each of them must end the
-    open run: it follows a piece of that run, and no piece of it follows."""
-    out, run, last = [], None, None  # the open run's offset, the last run's
-    for start, piece in translocsearch._pieces(pattern, iter(chunks)):
-        if piece is None:
-            assert start is None and run is not None, out
-            run = None
-            continue
-        if start is not None:
-            assert start == run or last is None or start > last, out
-            run = last = start
-        out.append((start, piece))
+    """What `_ends` on ``chunks`` checks and steps, as `joined` pieces: an
+    image checked on its own as (None, end), and each run as (run offset,
+    the symbols its engine steps over).  The `dawg` engine is a recorder
+    that hits at every symbol, so a hit right after a step ends at that
+    symbol; a hit that follows no step is a checked image.  A run's
+    symbols are stepped in text order, by the one engine started with it."""
+    out, stepped = [], []  # stepped: (engine, symbol) since the last hit
+
+    class Recorder:
+        def __init__(self, pattern, dawg):
+            self.run = None  # [offset, symbols], from the first step on
+
+        def step(self, symbol):
+            stepped.append((self, symbol))
+            return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translocsearch, "SearchState", Recorder)
+        mp.setattr(translocsearch, "build_dawg", lambda pattern: None)  # the recorder needs none
+        for end in translocsearch._ends(pattern, iter(chunks), "dawg"):
+            if not stepped:
+                out.append((None, end))
+                continue
+            [(engine, symbol)] = stepped
+            stepped.clear()
+            if engine.run is None:
+                engine.run = [end - 1, ""]
+                out.append(engine.run)
+            assert out[-1] is engine.run and end == engine.run[0] + len(engine.run[1]) + 1, out
+            engine.run[1] += symbol
+    assert not stepped
+    return [tuple(item) for item in out]
+
+
+def joined(pieces: list[tuple[int | None, str | int]]) -> list[tuple[int | None, str | int]]:
+    """``pieces`` of `reference_pieces` with the pieces of each run joined
+    into one (run offset, symbols) item."""
+    out = []
+    for start, piece in pieces:
+        if start is not None and out and out[-1][0] == start:
+            out[-1] = (start, out[-1][1] + piece)
+        else:
+            out.append((start, piece))
     return out
 
 
 def assert_stream(pattern: str, text: str, cuts: list[int]):
-    """Under every budget in BUDGETS, `_pieces` on the chunked text yields
-    the stream `reference_pieces` computes from the whole text."""
+    """Under every budget in BUDGETS, `_ends` on the chunked text checks
+    the images and steps the runs that `reference_pieces` computes from the
+    whole text."""
     for budget in BUDGETS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
             got = stream(pattern, split(text, cuts))
-        assert got == reference_pieces(pattern, text, budget), budget
+        assert got == joined(reference_pieces(pattern, text, budget)), budget
 
 
 # Symbols outside latin-1, among them a lone surrogate, and "?", which
@@ -355,7 +385,7 @@ def test_filter_stream_on_huge_patterns(pattern, text, monkeypatch):
     such as a^65534 b a one by one takes O(m^3) work."""
     monkeypatch.setattr(translocsearch, "CHECK_BUDGET", 0)
     cuts = [len(pattern) // 2] * 2
-    assert stream(pattern, split(text, cuts)) == reference_pieces(pattern, text, 0)
+    assert stream(pattern, split(text, cuts)) == joined(reference_pieces(pattern, text, 0))
 
 
 def reference_marks(pattern: str, text: str) -> bytes:
@@ -426,10 +456,10 @@ def test_filter_runs_a_bounded_number_of_lines_per_chunk():
     tracer = sys.gettrace()
     sys.settrace(call)
     try:
-        pieces = list(translocsearch._pieces(pattern, iter(chunks)))
+        hits = list(translocsearch._ends(pattern, iter(chunks), "dawg"))
     finally:
         sys.settrace(tracer)
-    assert pieces == reference_pieces(pattern, text, 0) == []
+    assert hits == reference_pieces(pattern, text, 0) == []
     assert events < 100 * len(chunks), events
 
 
@@ -504,6 +534,10 @@ def count_calls(mp: pytest.MonkeyPatch, calls: Counter, owner, name: str, key: s
     mp.setattr(owner, name, wrapper)
 
 
+def refuse_engine(*args):
+    raise AssertionError("an engine ran where the checks decide every window")
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=filter_cases("abc", 7))
 @example(case=("ab", "ab" * 10, list(range(21))))  # one cluster of overlapping windows
@@ -516,7 +550,7 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
     windows the filter and the check budget leave to it: no other symbol,
     and none twice, in one run per stretch of consecutive symbols, however
     the chunks cut it.  The DAWG is built once, and only when some window
-    is left to an engine."""
+    is left to an engine.  Each run constructs its own engine."""
     pattern, text, cuts = case
     for budget in BUDGETS:
         union, runs = candidate_symbols(pattern, text, budget)
@@ -525,8 +559,8 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
             mp.setattr(translocsearch, "CHECK_BUDGET", budget)
             count_calls(mp, calls, DpColumns, "push", "dp")
             count_calls(mp, calls, SearchState, "step", "dawg")
-            count_calls(mp, calls, translocsearch, "dp_search", "dp runs")
-            count_calls(mp, calls, translocsearch, "automaton_search", "dawg runs")
+            count_calls(mp, calls, translocsearch, "DpColumns", "dp runs")
+            count_calls(mp, calls, translocsearch, "SearchState", "dawg runs")
             count_calls(mp, calls, translocsearch, "build_dawg", "build")
             for algo in ("dp", "dawg"):
                 match_ends(pattern, iter(split(text, cuts)), algo)
@@ -561,8 +595,8 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(translocsearch, "_is_image", recorded)
-            count_calls(mp, calls, translocsearch, "dp_search", "dp")
-            count_calls(mp, calls, translocsearch, "automaton_search", "dawg")
+            count_calls(mp, calls, translocsearch, "DpColumns", "dp")
+            count_calls(mp, calls, translocsearch, "SearchState", "dawg")
             assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
         assert windows == [text[k : k + m] for k in range(len(windows))]
         assert sum(works) - works[-1] < len(works) * budget
@@ -572,7 +606,7 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
 
 
 def switch_checks(pattern: str, text: str) -> list[tuple[str, bool]]:
-    """Reference: the candidate windows that `_pieces` checks, in text
+    """Reference: the candidate windows that `_ends` checks, in text
     order, each with whether its check gets the unit masks.  A cluster of
     overlapping windows checks its r-th window only while the work charged
     before it in the cluster is below r * B, with B = CHECK_BUDGET * m^2.
@@ -637,9 +671,9 @@ def test_window_checks_follow_the_switch(case):
     without masks, until the checks have spent B; from then on, with
     masks, only a window that is not among the last m distinct windows
     checked since, also across N breaks.  A window found there is charged
-    its stored work, so the stream is the one `reference_pieces` computes
-    with every window checked, and the hits stay those of the unfiltered
-    engine."""
+    its stored work, so the images and runs are the ones `reference_pieces`
+    computes with every window checked, and the hits stay those of the
+    unfiltered engine."""
     pattern, text, cuts = case
     expected = dp_search(pattern, text)
     reference = switch_checks(pattern, text)
@@ -656,10 +690,10 @@ def test_window_checks_follow_the_switch(case):
             assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
         assert checks == reference, algo
     budget = translocsearch.CHECK_BUDGET
-    assert stream(pattern, split(text, cuts)) == reference_pieces(pattern, text, budget)
+    assert stream(pattern, split(text, cuts)) == joined(reference_pieces(pattern, text, budget))
 
 
-def test_window_memory_is_flat_in_cluster_length():
+def test_window_memory_is_flat_in_cluster_length(monkeypatch):
     """One cluster of overlapping candidate windows, pairwise distinct: the
     pattern holds 8 of each of ACGT (m = 32), and the text is random
     half-blocks of 4 of each, so every window starting at a block boundary
@@ -669,6 +703,7 @@ def test_window_memory_is_flat_in_cluster_length():
     from 1e3 to 3e4 symbols by less than 8 KB."""
     rng = random.Random(18)
     pattern = "".join(rng.sample("ACGT" * 8, 32))
+    monkeypatch.setattr(translocsearch, "SearchState", refuse_engine)
 
     def half_blocks(n: int):
         block = list("ACGT" * 4)
@@ -680,8 +715,8 @@ def test_window_memory_is_flat_in_cluster_length():
         gc.collect()
         tracemalloc.start()
         try:
-            pieces = translocsearch._pieces(pattern, half_blocks(n))
-            assert all(start is None for start, _ in pieces)  # no engine run
+            for _ in translocsearch._ends(pattern, half_blocks(n), "dawg"):
+                pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -708,6 +743,7 @@ def test_window_memory_is_flat_in_cluster_count(monkeypatch):
         return check(pattern, window, masks)
 
     monkeypatch.setattr(translocsearch, "_is_image", recorded)
+    monkeypatch.setattr(translocsearch, "SearchState", refuse_engine)
 
     def blocks(n: int):
         block = list("ACGT" * 8)
@@ -719,8 +755,8 @@ def test_window_memory_is_flat_in_cluster_count(monkeypatch):
         gc.collect()
         tracemalloc.start()
         try:
-            pieces = translocsearch._pieces(pattern, blocks(n))
-            assert all(start is None for start, _ in pieces)  # no engine run
+            for _ in translocsearch._ends(pattern, blocks(n), "dawg"):
+                pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,9 +870,9 @@ def test_both_unit_enumerations_give_the_same_verdict_and_work(case):
 
 
 def spied_checks(mp: pytest.MonkeyPatch, pattern: str, chunks, check=None):
-    """The items `_pieces` yields for ``chunks``, and (window, result,
-    masks) of each check it makes, with ``check`` in place of `_is_image`
-    if given."""
+    """The hit ends `_ends` yields for ``chunks`` with `dawg`, and (window,
+    result, masks) of each check it makes, with ``check`` in place of
+    `_is_image` if given."""
     check = check or translocsearch._is_image
     calls = []
 
@@ -846,7 +882,7 @@ def spied_checks(mp: pytest.MonkeyPatch, pattern: str, chunks, check=None):
         return result
 
     mp.setattr(translocsearch, "_is_image", recorded)
-    return list(translocsearch._pieces(pattern, chunks)), calls
+    return list(translocsearch._ends(pattern, chunks, "dawg")), calls
 
 
 def test_a_read_whose_checks_stay_below_the_budget_gets_no_masks(monkeypatch):
@@ -861,7 +897,7 @@ def test_a_read_whose_checks_stay_below_the_budget_gets_no_masks(monkeypatch):
     builds = Counter()
     count_calls(monkeypatch, builds, translocsearch, "symbol_masks", "masks")
     items, calls = spied_checks(monkeypatch, pattern, (read,))
-    assert items == [(None, 85)]
+    assert items == [85]
     assert [(window, masks) for window, _, masks in calls] == [(image, None)]
     assert calls[0][1][1] < translocsearch.CHECK_BUDGET * 20 * 20
     assert builds["masks"] == 0
@@ -888,8 +924,8 @@ def test_checks_get_masks_once_the_search_has_spent_one_window_budget(monkeypatc
 
 def test_filter_stream_does_not_depend_on_the_unit_enumeration():
     """On 200 seeded chunked cases, unary or period-2 text with point
-    mutations or shuffled DNA with images planted, m = 4-40, `_pieces`
-    yields the stream and makes the checks it made before the masks
+    mutations or shuffled DNA with images planted, m = 4-40, `_ends`
+    yields the hits and makes the checks it made before the masks
     existed, when every check found its units with ``str.find``; in at
     least a third of the cases some check gets masks."""
     find = translocsearch._is_image
@@ -950,7 +986,7 @@ def test_naive_and_bench_bypass_the_filter(monkeypatch):
     text = EX2_Y * 3 + EX2_X[::-1]
     naive = match_ends(EX2_X, text, "naive")
     rows = bench_rows([16, 64], 3_000, 4, 2, 42)
-    monkeypatch.setattr(translocsearch, "_pieces", lambda *args: iter(()))
+    monkeypatch.setattr(translocsearch, "_count_marks", lambda *args: b"")
     assert naive and match_ends(EX2_X, text, "dp") == match_ends(EX2_X, text, "dawg") == []
     assert match_ends(EX2_X, text, "naive") == naive
     assert bench_rows([16, 64], 3_000, 4, 2, 42) == rows
@@ -1130,15 +1166,18 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
     line width gives the same 110 hits, and the runs do not depend on the
     width."""
     seq = ("A" * 11 + "C") * 6 + "G" + ("A" * 11 + "C") * 5
-    real = translocsearch.dp_search
-    runs = []
+    runs = []  # per width, the symbols each `dp` engine steps over
 
-    def spy(pattern, text):
-        symbols = list(text)
-        runs[-1].append(len(symbols))
-        return real(pattern, symbols)
+    class Spy(DpColumns):
+        def __init__(self, m):
+            super().__init__(m)
+            runs[-1].append(0)
 
-    monkeypatch.setattr(translocsearch, "dp_search", spy)
+        def push(self, eq_mask):
+            runs[-1][-1] += 1
+            return super().push(eq_mask)
+
+    monkeypatch.setattr(translocsearch, "DpColumns", Spy)
     outputs = set()
     for width in (1, 5, 60):
         fasta = tmp_path / f"{width}.fa"
@@ -1152,47 +1191,41 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
     assert runs[0] and runs[0] == runs[1] == runs[2] and max(runs[0]) > 60, runs
 
 
-def test_a_run_ends_once_the_scan_passes_it(monkeypatch):
-    """A run whose clusters exhaust the check budget, then chunks without a
-    candidate window: `_pieces` ends the run at the end of the first of
-    them, so its engine returns, and its state is freed, before the second
-    is read.  Each run that ends before the text does is ended once."""
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("algo", ["dp", "dawg"])
+def test_a_hit_is_reported_before_the_next_chunk_is_read(algo, runs, monkeypatch):
+    """`_ends` yields each hit as the scan finds it: after the chunk that
+    holds the hit's last symbol is read, and before the next one is.
+    Each of ``runs`` repeats holds a lone image of the pattern, which is
+    checked on its own, and a stretch whose clusters exhaust the check
+    budget, one engine run cut across two chunks; chunks without a
+    candidate window follow.  Each run constructs one engine."""
     pattern = "A" * 11 + "C"
+    chunks = []
+    for _ in range(runs):
+        chunks += ["GGC" + "A" * 11, "GG", pattern * 3, pattern * 3, "G" * 20, "G" * 20]
+    bounds = list(accumulate(map(len, chunks)))  # the end of each chunk
+    images = [bound for bound, chunk in zip(bounds, chunks) if chunk.startswith("GGC")]
     events = []
 
-    def chunks(runs: int):
-        for _ in range(runs):
-            yield pattern * 6
-            for i in range(4):
-                events.append(f"read {i}")
-                yield "G" * 20
+    def read():
+        for i, chunk in enumerate(chunks):
+            events.append(("read", i))
+            yield chunk
 
-    def returning(name):
-        real = getattr(translocsearch, name)
-
-        def spy(*args, **kwargs):
-            result = real(*args, **kwargs)
-            events.append("returned")
-            return result
-        monkeypatch.setattr(translocsearch, name, spy)
-
-    returning("dp_search")
-    returning("automaton_search")
-    expected = dp_search(pattern, "".join(chunks(1)))
-    for algo in ("dp", "dawg"):
-        events.clear()
-        assert match_ends(pattern, chunks(1), algo) == expected, algo
-        assert events == ["read 0", "returned", "read 1", "read 2", "read 3"], algo
-
-    def run_ends(text: list[str]) -> int:
-        return list(translocsearch._pieces(pattern, iter(text))).count((None, None))
-
-    for runs in (1, 3):
-        text = list(chunks(runs))
-        starts = {start for start, _ in translocsearch._pieces(pattern, iter(text))}
-        assert len(starts - {None}) == runs
-        assert run_ends(text) == run_ends([*text, pattern]) == runs  # an image after them
-        assert run_ends(text[:-4]) == runs - 1  # the last run ends with the text
+    calls = Counter()
+    count_calls(monkeypatch, calls, translocsearch, {"dp": "DpColumns", "dawg": "SearchState"}[algo], "runs")
+    for end in translocsearch._ends(pattern, read(), algo):
+        events.append(("hit", end))
+    hits = [end for kind, end in events if kind == "hit"]
+    assert hits == dp_search(pattern, "".join(chunks))
+    assert set(images) < set(hits) and calls["runs"] == runs
+    chunk = None  # the last chunk read
+    for kind, value in events:
+        if kind == "read":
+            chunk = value
+        else:
+            assert chunk == bisect_left(bounds, value), (value, events)
 
 
 def test_search_encodes_nothing(tmp_path, monkeypatch):
@@ -1216,8 +1249,8 @@ def test_search_encodes_nothing(tmp_path, monkeypatch):
         monkeypatch.setattr(translocsearch, name, spy)
         monkeypatch.setattr(translocsearch.seqcore, name, spy)
     calls = Counter()
-    count_calls(monkeypatch, calls, translocsearch, "dp_search", "dp")
-    count_calls(monkeypatch, calls, translocsearch, "automaton_search", "dawg")
+    count_calls(monkeypatch, calls, translocsearch, "DpColumns", "dp")
+    count_calls(monkeypatch, calls, translocsearch, "SearchState", "dawg")
     for algo in ("dp", "dawg"):
         encoded.clear()
         out = run_search(["--pattern", pattern, "--fasta", str(fasta), "--algo", algo])
@@ -1278,3 +1311,41 @@ def test_search_memory_is_flat_in_text_length(tmp_path):
             small = peak([*argv, str(short)])
             large = peak([*argv, str(long)])
             assert large - small < 64 * 1024, (long.name, algo, small, large)
+
+
+def test_tsv_search_memory_is_flat_in_hits(tmp_path):
+    """`utd search` writes each TSV line as its hit is found and keeps
+    none.  On 1e4 and 1e5 A's with pattern AAAA, where every position from
+    the 4th on is a hit, `cmd_search` into a sink that keeps no output
+    peaks below 64 KB of traced memory, and grows by less than 8 KB from
+    1e4 to 1e5 hits.  A record ID is written as it is, whatever it holds."""
+    class Sink:
+        lines = 0
+
+        def write(self, text: str) -> None:
+            self.lines += text.count("\n")
+
+    def peak(n: int, algo: str) -> tuple[int, int]:
+        argv = ["search", "--pattern", "AAAA", "--text-file", str(paths[n]), "--algo", algo]
+        args, sink = cli.build_parser().parse_args(argv), Sink()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert cli.cmd_search(args, sink) == 0
+            return sink.lines, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    paths = {}
+    for n in (100, 10_000, 100_000):
+        paths[n] = tmp_path / f"{n}.txt"
+        paths[n].write_text("A" * n)
+    for algo in ("dp", "dawg"):
+        peak(100, algo)  # warm-up
+        (few, small), (many, large) = peak(10_000, algo), peak(100_000, algo)
+        assert (few, many) == (10_000 - 3, 100_000 - 3), algo
+        assert large < 64 * 1024 and large - small < 8 * 1024, (algo, small, large)
+    fasta = tmp_path / "ids.fa"
+    fasta.write_text(">r{}%s{0}%d x\nGATTACA\n")
+    for algo in ENGINES:
+        assert run_search(["--pattern", "GATTACA", "--fasta", str(fasta), "--algo", algo]) == "r{}%s{0}%d\t7\n"

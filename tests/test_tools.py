@@ -19,8 +19,8 @@ def test_probe_costs_prints_every_row(monkeypatch, capsys):
     spec.loader.exec_module(probe_costs)
     assert probe_costs.main(["--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    for row in ("set-up", "filter", "checks", "dispatch", "total",
-                "_pieces on 300 distinct symbols", "symbol_masks build"):
+    for row in ("set-up", "filter", "checks", "total",
+                "match_ends on 300 distinct symbols", "symbol_masks build"):
         assert any(line.lstrip().startswith(row) for line in lines), row
     mixed = [line.rsplit(maxsplit=1) for line in lines if line.lstrip().startswith(("plain", "last "))]
     assert [name.strip() for name, _ in mixed] == ["plain", "last ?", "last U+20AC", "last U+4E00"]
@@ -30,5 +30,5 @@ def test_probe_costs_prints_every_row(monkeypatch, capsys):
     assert all(float(row[-1]) > 0 for row in rows)
     fasta = [line.rsplit(maxsplit=1) for line in lines[-5:]]  # the FASTA path, printed last
     assert [name.strip() for name, _ in fasta] == [
-        "read and decode", "header search", "strip and _upper", "_count_marks", "rest of _pieces"]
+        "read and decode", "header search", "strip and _upper", "_count_marks", "rest of match_ends"]
     assert all(math.isfinite(float(value)) for _, value in fasta)

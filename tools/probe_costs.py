@@ -5,26 +5,25 @@
 
 Generates the inputs of perfbench's `many-probes` workload (1000 reads of
 150 DNA symbols, pattern lengths 6-40) and times `match_ends(pattern,
-read)` on each, as the least of K calls, four ways: as it is; with
-`_is_image` replaced by a stub; with `_count_marks` replaced too, so no
-window is a candidate; and with `_pieces` consumed directly under both
-stubs.  The differences give microseconds per probe of the window checks,
-the count filter and the engine dispatch in `match_ends`; the last way is
-the set-up of `_pieces` and its bookkeeping per chunk.  It then times
-`_pieces` on the case of many distinct pattern symbols, the least of 3K
-runs: a pattern of 300 distinct CJK symbols over 9000 symbols of
-shuffled copies of it, in 2 KiB chunks, where most windows keep most
-counts right.  Then it times `_pieces` on a mixed alphabet, in nanoseconds
-per symbol, the least of K runs: a 64-symbol DNA pattern over 2*10^5
-random DNA symbols in 1 KiB chunks, as it is and with its last symbol
-replaced by ``?``, by U+20AC and by U+4E00, and asserts that the
-checkouts yield the same stream.
+read)` on each, as the least of K calls, three ways: as it is; with
+`_is_image` replaced by a stub; and with `_count_marks` replaced too, so
+no window is a candidate.  The differences give microseconds per probe of
+the window checks and the count filter; the last way is the set-up of a
+search and its bookkeeping per chunk.  It then times `match_ends` on the
+case of many distinct pattern symbols, the least of 3K runs: a pattern
+of 300 distinct CJK symbols over 9000 symbols of shuffled copies of it,
+in 2 KiB chunks, where most windows keep most counts right.  Then it
+times `match_ends` on a mixed alphabet, in nanoseconds per symbol, the
+least of K runs: a 64-symbol DNA pattern over 2*10^5 random DNA symbols
+in 1 KiB chunks, as it is and with its last symbol replaced by ``?``, by
+U+20AC and by U+4E00, and asserts that the checkouts return the same
+hits.
 
 Last it times `_is_image` on the windows that `periodic-dense` checks
 (the paper's worst case: unary and period-2 text), each check the least
 of K calls, both ways of enumerating units: by ``str.find`` (no masks)
-and from the pattern's symbol masks, which `_pieces` passes once a
-search's checks have spent one window's budget.  It prints microseconds
+and from the pattern's symbol masks, which a search passes once its
+checks have spent one window's budget.  It prints microseconds
 per pass, images and non-images apart, and the microseconds of one
 `symbol_masks` build.  A checkout whose `_is_image` takes no masks gets
 ``-`` in the mask rows.
@@ -35,11 +34,11 @@ CHUNK_CHARS characters, each step the least of K runs per file: reading
 and decoding the file (``_open_text``); the header search, which is
 `parse_fasta` on the decoded text less the whitespace strip of its blocks,
 so it holds the reader's per-block bookkeeping too; the whitespace strip
-and `_upper` of each block; the `_count_marks` calls that `_pieces` makes
-on the uppercased chunks; and the rest of `_pieces`, its window checks
-included.  The benchmark's trace cannot split these: it times
-`parse_fasta`, a generator function, only as far as creating the
-generator.
+and `_upper` of each block; the `_count_marks` calls that `match_ends`
+makes on the uppercased chunks; and the rest of `match_ends`, its window
+checks and engine runs included.  The benchmark's trace cannot split
+these: it times `parse_fasta`, a generator function, only as far as
+creating the generator.
 
 Each ``--src`` names the ``src`` directory of a checkout (default: this
 one's).  Given several, the script loads each package under its own name
@@ -59,7 +58,7 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WAYS = ("full", "no checks", "no filter", "set-up")
+WAYS = ("full", "no checks", "no filter")
 
 
 def load(src: Path, name: str):
@@ -85,17 +84,13 @@ def stub(module, real: tuple, way: str) -> None:
     """Put the stubs of ``way`` in place of the ``real`` `_is_image` and
     `_count_marks`, or these back."""
     module._is_image = real[0] if way == "full" else no_check
-    module._count_marks = no_filter if way in ("no filter", "set-up") else real[1]
+    module._count_marks = no_filter if way == "no filter" else real[1]
 
 
-def one_call(module, way: str, pattern: str, read: str) -> float:
-    """Seconds of one call made the given way, its stubs in place."""
+def one_call(module, pattern: str, read: str) -> float:
+    """Seconds of one call, with whatever stubs are in place."""
     t0 = time.perf_counter()
-    if way == "set-up":
-        for _ in module._pieces(pattern, (read,)):
-            pass
-    else:
-        module.match_ends(pattern, read)
+    module.match_ends(pattern, read)
     return time.perf_counter() - t0
 
 
@@ -112,7 +107,7 @@ def probe_times(modules: list, probes: list[tuple[str, str]], repeat: int) -> li
                 best = [math.inf] * len(modules)
                 for _ in range(repeat):
                     for i, module in enumerate(modules):
-                        best[i] = min(best[i], one_call(module, way, pattern, read))
+                        best[i] = min(best[i], one_call(module, pattern, read))
                 for total, least in zip(totals, best):
                     total[way] += least
     finally:
@@ -122,7 +117,7 @@ def probe_times(modules: list, probes: list[tuple[str, str]], repeat: int) -> li
 
 
 def distinct_times(modules: list, repeat: int) -> list[float]:
-    """Per module, microseconds per symbol of `_pieces` on 300 distinct
+    """Per module, microseconds per symbol of `match_ends` on 300 distinct
     symbols, the least of ``repeat`` runs."""
     rng = random.Random(300)
     pattern = "".join(map(chr, range(0x4E00, 0x4E00 + 300)))
@@ -132,8 +127,7 @@ def distinct_times(modules: list, repeat: int) -> list[float]:
     for _ in range(repeat):
         for i, module in enumerate(modules):
             t0 = time.perf_counter()
-            for _ in module._pieces(pattern, iter(chunks)):
-                pass
+            module.match_ends(pattern, iter(chunks))
             best[i] = min(best[i], time.perf_counter() - t0)
     return [b / len(text) * 1e6 for b in best]
 
@@ -143,7 +137,7 @@ MIXED_LAST = {"plain": None, "last ?": "?", "last U+20AC": "\u20ac", "last U+4E0
 
 def mixed_times(modules: list, repeat: int) -> dict[str, list[float]]:
     """Per row of MIXED_LAST, per module, nanoseconds per symbol of
-    `_pieces` on 2*10^5 random DNA symbols in 1 KiB chunks, the least of
+    `match_ends` on 2*10^5 random DNA symbols in 1 KiB chunks, the least of
     ``repeat`` runs, for a 64-symbol DNA pattern with its last symbol
     replaced as the row says."""
     rng = random.Random(64)
@@ -153,15 +147,15 @@ def mixed_times(modules: list, repeat: int) -> dict[str, list[float]]:
     rows = {}
     for row, last in MIXED_LAST.items():
         pattern = dna if last is None else dna[:-1] + last
-        streams = [list(module._pieces(pattern, chunks)) for module in modules]
-        assert all(stream == streams[0] for stream in streams), f"the streams differ: {row}"
-        calls = [partial(run_pieces, module, pattern, chunks) for module in modules]
+        hits = [module.match_ends(pattern, chunks) for module in modules]
+        assert all(ends == hits[0] for ends in hits), f"the hits differ: {row}"
+        calls = [partial(module.match_ends, pattern, chunks) for module in modules]
         rows[row] = [t / len(text) * 1e9 for t in turns(calls, repeat)]
     return rows
 
 
 def periodic_checks(module, searches) -> list[tuple[str, str, bool]]:
-    """(pattern, window, verdict) of every check `_pieces` makes on the
+    """(pattern, window, verdict) of every check `match_ends` makes on the
     searches, in order."""
     check = module._is_image
     checks = []
@@ -174,8 +168,7 @@ def periodic_checks(module, searches) -> list[tuple[str, str, bool]]:
     module._is_image = recorded
     try:
         for s in searches:
-            for _ in module._pieces(s.pattern, (s.text,)):
-                pass
+            module.match_ends(s.pattern, s.text)
     finally:
         module._is_image = check
     return checks
@@ -223,10 +216,6 @@ def drain(items) -> None:
         pass
 
 
-def run_pieces(module, pattern: str, chunks: list[str]) -> None:
-    drain(module._pieces(pattern, chunks))
-
-
 def read_file(cli, path: Path) -> None:
     """Read and decode the file at ``path`` in blocks, as `utd search` does."""
     with cli._open_text(str(path)) as fh:
@@ -255,7 +244,7 @@ def fasta_calls(module, path: Path, pattern: str) -> tuple[int, dict]:
 
     module._count_marks = recorded
     try:
-        drain(module._pieces(pattern, upper))
+        module.match_ends(pattern, upper)
     finally:
         module._count_marks = count_marks
     return len(blocks), {
@@ -264,7 +253,7 @@ def fasta_calls(module, path: Path, pattern: str) -> tuple[int, dict]:
         "strip": lambda: ["".join(block.split()) for block in blocks],
         "upper": lambda: [cli._upper(chunk) for chunk in chunks],
         "marks": lambda: [count_marks(*args) for args in marks],
-        "pieces": partial(run_pieces, module, pattern, upper),
+        "search": partial(module.match_ends, pattern, upper),
     }
 
 
@@ -272,7 +261,7 @@ def fasta_times(modules: list, searches, repeat: int) -> tuple[int, list[dict]]:
     """The number of blocks in the FASTA files of ``searches``, and per
     module the seconds of each step, the least of ``repeat`` runs per file,
     summed over the files."""
-    keys = ("read", "parse", "strip", "upper", "marks", "pieces")
+    keys = ("read", "parse", "strip", "upper", "marks", "search")
     totals = [dict.fromkeys(keys, 0.0) for _ in modules]
     blocks = 0
     for s in searches:
@@ -287,7 +276,7 @@ def fasta_times(modules: list, searches, repeat: int) -> tuple[int, list[dict]]:
         "header search": t["parse"] - t["strip"],
         "strip and _upper": t["strip"] + t["upper"],
         "_count_marks": t["marks"],
-        "rest of _pieces": t["pieces"] - t["marks"],
+        "rest of match_ends": t["search"] - t["marks"],
     } for t in totals]
 
 
@@ -309,10 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         blocks, steps = fasta_times(modules, contigs, args.repeat)
     times = probe_times(modules, probes, args.repeat)
     rows = {
-        "set-up": [t["set-up"] for t in times],
+        "set-up": [t["no filter"] for t in times],
         "filter": [t["no checks"] - t["no filter"] for t in times],
         "checks": [t["full"] - t["no checks"] for t in times],
-        "dispatch": [t["no filter"] - t["set-up"] for t in times],
         "total": [t["full"] for t in times],
     }
     print(f"many-probes seed {args.seed}, {len(probes)} probes, least of {args.repeat} calls; "
@@ -322,9 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     for name, values in rows.items():
         print(f"  {name:9s}" + "".join(f" {v:8.2f}" for v in values))
     distinct = distinct_times(modules, 3 * args.repeat)
-    print("_pieces on 300 distinct symbols, us per symbol:"
+    print("match_ends on 300 distinct symbols, us per symbol:"
           + "".join(f" {v:.2f}" for v in distinct))
-    print(f"_pieces on 2e5 DNA symbols, m = 64, least of {args.repeat} runs; ns per symbol")
+    print(f"match_ends on 2e5 DNA symbols, m = 64, least of {args.repeat} runs; ns per symbol")
     for row, values in mixed_times(modules, args.repeat).items():
         print(f"  {row:12s}" + "".join(f" {v:8.1f}" for v in values))
     checks = periodic_checks(modules[0], periodic)
