@@ -250,22 +250,31 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
     An image reads left to right as units: a pattern symbol copied, or a
     factor pair zw of the pattern written as wz.  The search keeps the
     prefix lengths s with ``window[:s]`` an image of ``pattern[:s]`` as
-    bits, and extends the longest one not yet extended first, so an image
-    is found in few steps.  From s, copies reach up to the end of the
-    common prefix of ``window[s:]`` and ``pattern[s:]``; a unit wz with
-    w = ``window[s:p]`` = ``pattern[q:q+p-s]`` and z = ``window[p:p+q-s]``
-    = ``pattern[s:q]`` reaches p+q-s.  z starts with ``pattern[s]``,
-    which gives the candidates for p; w must occur in the pattern after
-    s, and once it does not, no longer w does; z is at most the common
-    prefix of ``window[p:]`` and ``pattern[s:]`` long.
+    bits, and always works on the longest one reached whose units are not
+    all tried, so an image is found in few steps.  Copies come first: at
+    a prefix s whose copies are not yet taken, the common prefix e of
+    ``window[s:]`` and ``pattern[s:]`` gives s .. s+e at once, each with
+    its copies taken, and the search goes on from s+e, where the copies
+    stop.  A unit wz with w = ``window[s:p]`` = ``pattern[q:q+p-s]`` and
+    z = ``window[p:p+q-s]`` = ``pattern[s:q]`` reaches p+q-s.  z starts
+    with ``pattern[s]``, which gives the candidates for p; w must occur
+    in the pattern after s, and once it does not, no longer w does; z is
+    at most the common prefix of ``window[p:]`` and ``pattern[s:]`` long.
+    The units of s pause after the first candidate p whose units reach a
+    prefix not reached before, and the search goes on from that longer
+    prefix; s resumes after p once it is again the longest prefix left.
+    Every prefix reached has all its units tried before a window is
+    rejected, so a non-image costs no more than with each prefix finished
+    in turn, and a rotation of A^(m-1)B, an image, costs at most m + 1.
 
-    The units are enumerated one of two ways, which return the same
-    verdict and the same work, so that the check budget decides alike.
-    Without ``masks``, each occurrence q of w is one ``str.find`` call, so
-    a window of random text is rejected after a handful of them.  With
-    ``masks``, the pattern's :func:`translocsearch.dp.symbol_masks` (bit
-    i+1 set where ``pattern[i]`` is the symbol), the occurrences of w
-    after s are one int, bit b set where ``pattern[s+b:]`` starts with w
+    The units are enumerated one of two ways, which pause after the same
+    candidates and return the same verdict and the same work, so that the
+    check budget decides alike.  Without ``masks``, each occurrence q of w
+    is one ``str.find`` call, so a window of random text is rejected after
+    a handful of them.  With ``masks``, the pattern's
+    :func:`translocsearch.dp.symbol_masks` (bit i+1 set where
+    ``pattern[i]`` is the symbol), the occurrences of w after s are one
+    int, ``occ``, bit b set where ``pattern[s+b:]`` starts with w
     (Shift-And), updated by one AND per symbol that w grows by; a
     candidate p takes all of its units at once, the bits b = q-s up to
     its common prefix, and counts one unit each, as the finds do: a unit
@@ -275,23 +284,30 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
     steps to build, which only a search with many checks repays.
     """
     m = len(pattern)
-    todo = 1  # prefix lengths reached and not yet extended
-    done = 0
+    reached = 1  # prefix lengths reached
+    todo = 1  # of those, the ones whose units are not all tried
+    copied = 0  # of those, the ones whose copies are taken
+    paused = None  # s -> where its units paused: p, or (p, occ) with masks
     work = 0
     while todo:
         s = todo.bit_length() - 1
-        todo ^= 1 << s
-        done |= 1 << s
-        e = 0
-        while s + e < m and window[s + e] == pattern[s + e]:
-            e += 1
-        work += e + 1
-        if s + e == m:
-            return True, work
-        reach = ((2 << e) - 2) << s  # s+1 .. s+e by copies
+        if not copied >> s & 1:
+            e = 0
+            while s + e < m and window[s + e] == pattern[s + e]:
+                e += 1
+            work += e + 1
+            if s + e == m:
+                return True, work
+            run = ((2 << e) - 1) << s  # s .. s+e
+            copied |= run
+            todo |= run & ~reached
+            reached |= run
+            continue
         first = pattern[s]
+        new = 0  # prefixes not reached before, from the last candidate tried
         if masks is None:
-            p = window.find(first, s + 1)
+            p = paused.pop(s, s) if paused else s
+            p = window.find(first, p + 1)
             while p != -1:
                 w = window[s:p]
                 q = pattern.find(w, s + 1)
@@ -307,12 +323,16 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
                     work += 1
                     if p + q - s == m:
                         return True, work
-                    reach |= 1 << (p + q - s)
+                    new |= 1 << (p + q - s)
                     q = pattern.find(w, q + 1)
+                new &= ~reached
+                if new:
+                    state = p
+                    break
                 p = window.find(first, p + 1)
         else:
-            occ = (1 << (m - s)) - 2  # shifts b >= 1 where pattern[s+b:] starts with w
-            p = s
+            # occ: the shifts b >= 1 where pattern[s+b:] starts with w
+            p, occ = paused.pop(s) if paused and s in paused else (s, (1 << (m - s)) - 2)
             while True:  # w = window[s:p] grows by window[p]
                 occ &= masks.get(window[p], 0) >> (p + 1)
                 p += 1
@@ -326,6 +346,16 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
                     work += e + units.bit_count()
                     if units >> (m - p):  # q-s = m-p, the largest that fits: the unit reaches m
                         return True, work
-                    reach |= units << p
-        todo |= reach & ~done
+                    new = units << p & ~reached
+                    if new:
+                        state = p, occ
+                        break
+        if new:  # pause s, and go on from the longest prefix just reached
+            if paused is None:
+                paused = {}
+            paused[s] = state
+            todo |= new
+            reached |= new
+        else:
+            todo ^= 1 << s
     return False, work

@@ -570,15 +570,20 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
 
 
 @pytest.mark.parametrize("m", [32, 64])
-@pytest.mark.parametrize("kind", ["unary", "period-2", "A^(m-1)B"])
+@pytest.mark.parametrize("kind", ["unary", "period-2", "A^(m-1)B", "period-2 defect"])
 def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
     """Texts where every window is a candidate, all of one cluster.  Its
     check work stays below its checked windows' count times the budget plus
-    the work of the last check.  Unary and period-2 windows are cheap to
-    check, so no engine runs; A^(m-1)B windows exhaust the budget, and one
-    engine run covers the rest."""
-    pattern = {"unary": "a" * m, "period-2": "ab" * (m // 2), "A^(m-1)B": "a" * (m - 1) + "b"}[kind]
-    text = (pattern * 10)[1 : 5 * m + 1]
+    the work of the last check.  Unary, period-2 and A^(m-1)B windows are
+    cheap to check, so no engine runs; period-2 windows with a defect near
+    their end, (ba)^(m/2-2) bbaa and its rotations, exhaust the budget, and
+    one engine run covers the rest."""
+    pattern = {
+        "unary": "a" * m, "period-2": "ab" * (m // 2), "A^(m-1)B": "a" * (m - 1) + "b",
+        "period-2 defect": "ab" * (m // 2),
+    }[kind]
+    period = "ba" * (m // 2 - 2) + "bbaa" if kind == "period-2 defect" else pattern[1:] + pattern[0]
+    text = (period * 10)[: 5 * m]
     rng = random.Random(m)
     cuts = [rng.randrange(len(text) + 1) for _ in range(6)]
     expected = dp_search(pattern, text)
@@ -602,7 +607,7 @@ def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
         assert sum(works) - works[-1] < len(works) * budget
         if calls[algo]:
             assert sum(works) >= (len(works) + 1) * budget  # the budget ran out
-        assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 1}[kind]
+        assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 0, "period-2 defect": 1}[kind]
 
 
 def switch_checks(pattern: str, text: str) -> list[tuple[str, bool]]:
@@ -860,6 +865,8 @@ def unit_cases(draw):
 @example(case=("a" * 63 + "b", "b" + "a" * 63))  # A^(m-1)B: one unit reaches m
 @example(case=("a" * 63 + "b", "a" * 31 + "N" + "a" * 31 + "b"))  # a foreign symbol
 @example(case=("ab\u20ac\udc80" * 8, "b\u20ac\udc80a" * 8))  # beyond latin-1, a lone surrogate
+@example(case=("ab" * 16, "ba" * 14 + "bbaa"))  # no image: prefix 0's units pause, then resume
+@example(case=("baabababa", "bababbaaa"))  # an image found after a pause and a resume
 def test_both_unit_enumerations_give_the_same_verdict_and_work(case):
     """`_is_image` returns the same verdict and the same work whether it
     finds units with ``str.find`` or takes them from the pattern's symbol
@@ -867,6 +874,46 @@ def test_both_unit_enumerations_give_the_same_verdict_and_work(case):
     pattern, window = case
     masked = translocsearch._is_image(pattern, window, symbol_masks(pattern))
     assert masked == translocsearch._is_image(pattern, window)
+
+
+@pytest.mark.parametrize("way", ["find", "masks"])
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_a_rotation_of_a_unary_pattern_with_one_other_symbol_costs_m_plus_1(m, way):
+    """Copies first: on A^i B A^(m-1-i) the search copies the pattern up to
+    i, where one unit, B written before the A^(m-1-i) left of the pattern,
+    reaches m.  So every rotation of A^(m-1)B is found in at most m + 1
+    units of work, whatever the prefixes that unit passes over."""
+    pattern = "a" * (m - 1) + "b"
+    masks = unit_masks(way, pattern)
+    for i in range(m):
+        image, work = translocsearch._is_image(pattern, pattern[i:] + pattern[:i], masks)
+        assert image and work <= m + 1, (i, work)
+
+
+@st.composite
+def transposed_images(draw):
+    """(pattern, window): an image of a pattern of 2-12 symbols with two
+    unequal symbols exchanged, which may leave it an image or not."""
+    pattern = draw(st.text(draw(st.sampled_from(("ab", "abc", "aab", "ACGT"))), min_size=2, max_size=12))
+    window = list(draw(swapped(pattern)))
+    pairs = [(i, j) for j in range(len(window)) for i in range(j) if window[i] != window[j]]
+    if pairs:
+        i, j = draw(st.sampled_from(pairs))
+        window[i], window[j] = window[j], window[i]
+    return pattern, "".join(window)
+
+
+@pytest.mark.parametrize("way", ["find", "masks"])
+@settings(max_examples=200, deadline=None)
+@given(case=transposed_images())
+@example(case=("baaabbba", "abbbabaa"))  # an image only a resumed prefix reaches
+def test_transposed_images_get_the_oracle_verdict(case, way):
+    """Near misses, where a search that leaves a prefix's units to reach
+    a longer prefix first is most likely to stop short or overshoot: the
+    verdict equals the naive oracle's."""
+    pattern, window = case
+    image, _ = translocsearch._is_image(pattern, window, unit_masks(way, pattern))
+    assert image == (tuple(window) in enumerate_images(pattern))
 
 
 def spied_checks(mp: pytest.MonkeyPatch, pattern: str, chunks, check=None):
@@ -1163,9 +1210,11 @@ def test_text_file_trailing_newlines_end_no_match(tmp_path, monkeypatch, content
 def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
     """One record whose candidate windows exhaust the check budget, so an
     engine steps over runs that span many sequence lines; every engine and
-    line width gives the same 110 hits, and the runs do not depend on the
-    width."""
-    seq = ("A" * 11 + "C") * 6 + "G" + ("A" * 11 + "C") * 5
+    line width gives the same 27 hits, and the runs do not depend on the
+    width.  The pattern is short enough for `naive`, a unary one with a
+    period-2 tail, and the rotations of A^10 BB check slowly against it."""
+    pattern = "A" * 8 + "BABA"
+    seq = ("A" * 10 + "BB") * 6 + "G" + ("A" * 10 + "BB") * 5
     runs = []  # per width, the symbols each `dp` engine steps over
 
     class Spy(DpColumns):
@@ -1185,9 +1234,9 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
         fasta.write_text(">r\n" + "".join(lines))
         runs.append([])
         for algo in ENGINES:
-            argv = ["--pattern", "A" * 11 + "C", "--fasta", str(fasta), "--algo", algo]
+            argv = ["--pattern", pattern, "--fasta", str(fasta), "--algo", algo]
             outputs.add(run_search(argv))
-    assert len(outputs) == 1 and outputs.pop().count("\n") == 110
+    assert len(outputs) == 1 and outputs.pop().count("\n") == 27
     assert runs[0] and runs[0] == runs[1] == runs[2] and max(runs[0]) > 60, runs
 
 
@@ -1198,14 +1247,16 @@ def test_a_hit_is_reported_before_the_next_chunk_is_read(algo, runs, monkeypatch
     holds the hit's last symbol is read, and before the next one is.
     Each of ``runs`` repeats holds a lone image of the pattern, which is
     checked on its own, and a stretch whose clusters exhaust the check
-    budget, one engine run cut across two chunks; chunks without a
-    candidate window follow.  Each run constructs one engine."""
-    pattern = "A" * 11 + "C"
+    budget, one engine run cut across two chunks: period-2 windows with a
+    defect near their end.  Chunks without a candidate window follow.
+    Each run constructs one engine."""
+    pattern = "AB" * 8
+    defects = ("BA" * 6 + "BBAA" + "BA") * 3
     chunks = []
     for _ in range(runs):
-        chunks += ["GGC" + "A" * 11, "GG", pattern * 3, pattern * 3, "G" * 20, "G" * 20]
+        chunks += ["GG" + "BA" * 8, "GG", defects, defects, "G" * 20, "G" * 20]
     bounds = list(accumulate(map(len, chunks)))  # the end of each chunk
-    images = [bound for bound, chunk in zip(bounds, chunks) if chunk.startswith("GGC")]
+    images = [bound for bound, chunk in zip(bounds, chunks) if chunk.startswith("GGB")]
     events = []
 
     def read():
@@ -1232,8 +1283,9 @@ def test_search_encodes_nothing(tmp_path, monkeypatch):
     """A search whose runs start hundreds of pieces, one per line of a FASTA
     file at line width 1, never calls `encode` or `infer_alphabet`: the
     engines read the runs' symbols as they are."""
-    pattern = "A" * 11 + "C"
-    seq = (pattern * 6 + "G" + pattern * 5).lower()
+    pattern = "AB" * 8
+    defects = "BA" * 6 + "BBAA" + "BA"  # period-2 windows that exhaust the check budget
+    seq = (defects * 6 + "G" + defects * 5).lower()
     fasta = tmp_path / "width-1.fa"
     fasta.write_text(">r\n" + "".join(symbol + "\n" for symbol in seq))
     encoded = []
@@ -1254,7 +1306,7 @@ def test_search_encodes_nothing(tmp_path, monkeypatch):
     for algo in ("dp", "dawg"):
         encoded.clear()
         out = run_search(["--pattern", pattern, "--fasta", str(fasta), "--algo", algo])
-        assert out.count("\n") == 110 and calls[algo] > 1, (algo, calls)
+        assert out.count("\n") == 83 and calls[algo] > 1, (algo, calls)
         assert encoded == [], algo
 
 

@@ -10,9 +10,9 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 def test_probe_costs_prints_every_row(monkeypatch, capsys):
     """`tools/probe_costs.py` with one call per probe, check and FASTA
     file (about a second): every row of the short-read split, the
-    distinct-symbol case, the mixed-alphabet patterns, the periodic-dense
-    checks, both ways, and the steps of the FASTA path is printed with a
-    number."""
+    distinct-symbol case, the mixed-alphabet patterns, the worst-case
+    texts, the periodic-dense checks, both ways, and the steps of the FASTA
+    path is printed with a number."""
     monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts perfbench/ first
     spec = importlib.util.spec_from_file_location("probe_costs", TOOLS / "probe_costs.py")
     probe_costs = importlib.util.module_from_spec(spec)
@@ -25,6 +25,9 @@ def test_probe_costs_prints_every_row(monkeypatch, capsys):
     mixed = [line.rsplit(maxsplit=1) for line in lines if line.lstrip().startswith(("plain", "last "))]
     assert [name.strip() for name, _ in mixed] == ["plain", "last ?", "last U+20AC", "last U+4E00"]
     assert all(float(value) > 0 for _, value in mixed)
+    worst = [line.rsplit(maxsplit=1) for line in lines if line.lstrip().startswith(("A^k B", "defect"))]
+    assert [name.strip() for name, _ in worst] == ["A^k B, m = 32", "A^k B, m = 64", "defect, m = 32"]
+    assert all(float(value) > 0 for _, value in worst)
     rows = [line.split() for line in lines if "images (" in line]
     assert [row[-2] for row in rows] == ["find", "masks"] * 2
     assert all(float(row[-1]) > 0 for row in rows)

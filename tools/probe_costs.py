@@ -17,7 +17,10 @@ times `match_ends` on a mixed alphabet, in nanoseconds per symbol, the
 least of K runs: a 64-symbol DNA pattern over 2*10^5 random DNA symbols
 in 1 KiB chunks, as it is and with its last symbol replaced by ``?``, by
 U+20AC and by U+4E00, and asserts that the checkouts return the same
-hits.
+hits.  It does the same, in symbols per second, on 2 KiB of the text whose
+windows cost most to check: blocks A^k B, with k within m +- 4, for the
+pattern A^(m-1)B at m = 32 and 64, and period-2 windows with a defect near
+their end, blocks (BA)^(m/2-2) BBAA BA for the pattern (AB)^(m/2) at m = 32.
 
 Last it times `_is_image` on the windows that `periodic-dense` checks
 (the paper's worst case: unary and period-2 text), each check the least
@@ -135,22 +138,39 @@ def distinct_times(modules: list, repeat: int) -> list[float]:
 MIXED_LAST = {"plain": None, "last ?": "?", "last U+20AC": "\u20ac", "last U+4E00": "\u4e00"}
 
 
-def mixed_times(modules: list, repeat: int) -> dict[str, list[float]]:
-    """Per row of MIXED_LAST, per module, nanoseconds per symbol of
-    `match_ends` on 2*10^5 random DNA symbols in 1 KiB chunks, the least of
-    ``repeat`` runs, for a 64-symbol DNA pattern with its last symbol
+def mixed_texts() -> dict[str, tuple[str, list[str]]]:
+    """Per row of MIXED_LAST, (pattern, chunks): 2*10^5 random DNA symbols
+    in 1 KiB chunks, and a 64-symbol DNA pattern with its last symbol
     replaced as the row says."""
     rng = random.Random(64)
     text = "".join(rng.choices("ACGT", k=200_000))
     chunks = [text[i : i + 1024] for i in range(0, len(text), 1024)]
     dna = "".join(rng.choices("ACGT", k=64))
+    return {row: (dna if last is None else dna[:-1] + last, chunks) for row, last in MIXED_LAST.items()}
+
+
+def worst_case_texts() -> dict[str, tuple[str, list[str]]]:
+    """(pattern, chunks) of each worst-case row: 2 KiB in one chunk."""
+    rng = random.Random(2)
     rows = {}
-    for row, last in MIXED_LAST.items():
-        pattern = dna if last is None else dna[:-1] + last
+    for m in (32, 64):
+        blocks = "".join("A" * rng.randint(m - 4, m + 4) + "B" for _ in range(4096 // m))
+        rows[f"A^k B, m = {m}"] = "A" * (m - 1) + "B", [blocks[:2048]]
+    defect = "BA" * 14 + "BBAA" + "BA"
+    rows["defect, m = 32"] = "AB" * 16, [(defect * (2048 // len(defect) + 1))[:2048]]
+    return rows
+
+
+def seconds_per_symbol(modules: list, texts: dict, repeat: int) -> dict[str, list[float]]:
+    """Per row of ``texts``, (pattern, chunks), per module, seconds per
+    symbol of `match_ends`, the least of ``repeat`` runs; asserts that the
+    modules return the same hits."""
+    rows = {}
+    for row, (pattern, chunks) in texts.items():
         hits = [module.match_ends(pattern, chunks) for module in modules]
         assert all(ends == hits[0] for ends in hits), f"the hits differ: {row}"
         calls = [partial(module.match_ends, pattern, chunks) for module in modules]
-        rows[row] = [t / len(text) * 1e9 for t in turns(calls, repeat)]
+        rows[row] = [t / sum(map(len, chunks)) for t in turns(calls, repeat)]
     return rows
 
 
@@ -313,8 +333,11 @@ def main(argv: list[str] | None = None) -> int:
     print("match_ends on 300 distinct symbols, us per symbol:"
           + "".join(f" {v:.2f}" for v in distinct))
     print(f"match_ends on 2e5 DNA symbols, m = 64, least of {args.repeat} runs; ns per symbol")
-    for row, values in mixed_times(modules, args.repeat).items():
-        print(f"  {row:12s}" + "".join(f" {v:8.1f}" for v in values))
+    for row, values in seconds_per_symbol(modules, mixed_texts(), args.repeat).items():
+        print(f"  {row:12s}" + "".join(f" {v * 1e9:8.1f}" for v in values))
+    print(f"match_ends on 2 KiB of worst-case text, least of {args.repeat} runs; sym/s")
+    for row, values in seconds_per_symbol(modules, worst_case_texts(), args.repeat).items():
+        print(f"  {row:15s}" + "".join(f" {1 / v:10.0f}" for v in values))
     checks = periodic_checks(modules[0], periodic)
     times = check_times(modules, checks, args.repeat)
     images = sum(image for _, _, image in checks)
