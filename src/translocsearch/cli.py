@@ -9,25 +9,32 @@ hits; JSON holds a record's hits until the record ends.
 Benchmarking runs the automaton engine on uniform random pattern/text
 pairs and emits machine-independent work counters as CSV; rows are
 deterministic for a given seed.
+
+A plain `utd search` argv is parsed in one pass over it (``plain_search``),
+and argparse is loaded only for the forms that pass turns down, as are
+``json`` for JSON output and ``math`` and ``random`` for `utd bench`.
 """
 from __future__ import annotations
 
-import argparse
 import codecs
 import io
-import json
-import math
 import os
-import random
 import re
 import sys
 import zlib
 from contextlib import contextmanager
 from functools import lru_cache, partial
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, TextIO
 
 from . import _ends
 from .automaton import automaton_search
+
+if TYPE_CHECKING:
+    import argparse
+
+    # what `cmd_search` reads: argparse's namespace, or that of plain_search
+    Args = argparse.Namespace | SimpleNamespace
 
 # every text source is read in blocks of this many characters (bytes, for a file)
 CHUNK_CHARS = 1024
@@ -123,7 +130,7 @@ def parse_fasta(fh: TextIO) -> Iterator[FastaRecord]:
             pass
 
 
-def _load_pattern(args: argparse.Namespace) -> str:
+def _load_pattern(args: Args) -> str:
     if args.pattern is not None:
         return args.pattern
     with open(args.pattern_file, encoding="utf-8-sig") as fh:
@@ -141,7 +148,7 @@ def _upper(text: str) -> str:
 
 
 @contextmanager
-def _open_records(args: argparse.Namespace) -> Iterator[Iterable[FastaRecord]]:
+def _open_records(args: Args) -> Iterator[Iterable[FastaRecord]]:
     """The records of the text source, readable inside the ``with`` block."""
     if args.text is not None:
         yield [FastaRecord("stdin", (args.text,))]
@@ -193,7 +200,7 @@ def _open_text(path: str) -> _Utf8File:
     return _Utf8File(open(path, "rb", buffering=0))
 
 
-def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
+def cmd_search(args: Args, out: TextIO) -> int:
     """TSV lines are written as the search finds each hit, so an error
     leaves every line found before it; JSON is written once, at the end."""
     # the pattern and every text source are uppercased, chunk by chunk
@@ -216,6 +223,8 @@ def cmd_search(args: argparse.Namespace, out: TextIO) -> int:
                     out.write(f"{record.id}\t{end}\n")
 
     if args.format == "json":
+        import json  # only JSON output needs it; keeps `utd search` start-up fast
+
         # as json.dump of the list of {"record": ID, "end": end} objects
         out.write("[")
         sep = ""
@@ -247,6 +256,9 @@ def bench_rows(
         raise ValueError("n must be at least the largest pattern length")
     if not 1 <= trials <= 1 << 16:
         raise ValueError("trials must be in [1, 65536]")
+    import math
+    import random
+
     rows = []
     for m in m_list:
         log_term = math.log(m, sigma)
@@ -283,7 +295,71 @@ def cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+class Option(NamedTuple):
+    """An option of `utd search`: its flag and help, and either the required
+    group of which it is one member or its choices and default."""
+
+    flag: str
+    help: str
+    group: str | None = None
+    choices: tuple[str, ...] | None = None
+    default: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+# the options of `utd search`, which build_parser and plain_search both read
+SEARCH_OPTIONS = (
+    Option("--pattern", "pattern string", group="pattern"),
+    Option("--pattern-file", "file holding the pattern", group="pattern"),
+    Option("--text", "text string", group="text"),
+    Option("--text-file", "file holding the text ('-' for stdin; .gz is decompressed)",
+           group="text"),
+    Option("--fasta", "FASTA file, optionally .gz; records searched independently",
+           group="text"),
+    Option("--algo", "engine to use (default: dawg)", choices=("naive", "dp", "dawg"),
+           default="dawg"),
+    Option("--format", "output format (default: tsv)", choices=("tsv", "json"),
+           default="tsv"),
+)
+_BY_FLAG = {option.flag: option for option in SEARCH_OPTIONS}
+_DEFAULTS = {"command": "search", **{option.dest: option.default for option in SEARCH_OPTIONS}}
+_GROUPS = sorted({option.group for option in SEARCH_OPTIONS} - {None})
+
+
+def plain_search(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that argparse builds for ``argv``, in one pass, when
+    ``argv`` is `search` followed only by (flag, value) pairs: each flag
+    an exact long option of `search`, given at most once; each value
+    empty, ``-`` or not starting with ``-``, and one of the option's
+    choices where it has them; and one member of each required group.
+    None for every other form (help, ``--flag=value``, abbreviations,
+    ``--``, `bench`, every error): argparse parses those."""
+    if len(argv) % 2 == 0 or argv[0] != "search":
+        return None
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) != len(argv) // 2:  # a flag given twice
+        return None
+    args, groups = dict(_DEFAULTS), []
+    for flag, value in given.items():
+        option = _BY_FLAG.get(flag)
+        if option is None or value.startswith("-") and value != "-":
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        args[option.dest] = value
+        if option.group is not None:
+            groups.append(option.group)
+    if sorted(groups) != _GROUPS:
+        return None
+    return SimpleNamespace(**args)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only the forms that plain_search turns down need it
+
     parser = argparse.ArgumentParser(
         prog="utd",
         description=(
@@ -295,25 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     search = sub.add_parser("search", help="search a text or FASTA file")
-    pat = search.add_mutually_exclusive_group(required=True)
-    pat.add_argument("--pattern", help="pattern string")
-    pat.add_argument("--pattern-file", help="file holding the pattern")
-    txt = search.add_mutually_exclusive_group(required=True)
-    txt.add_argument("--text", help="text string")
-    txt.add_argument(
-        "--text-file", help="file holding the text ('-' for stdin; .gz is decompressed)"
-    )
-    txt.add_argument(
-        "--fasta", help="FASTA file, optionally .gz; records searched independently"
-    )
-    search.add_argument(
-        "--algo", choices=("naive", "dp", "dawg"), default="dawg",
-        help="engine to use (default: dawg)",
-    )
-    search.add_argument(
-        "--format", choices=("tsv", "json"), default="tsv",
-        help="output format (default: tsv)",
-    )
+    groups = {None: search}  # an option of no group goes on `search` itself
+    for option in SEARCH_OPTIONS:
+        if option.group not in groups:
+            groups[option.group] = search.add_mutually_exclusive_group(required=True)
+        groups[option.group].add_argument(
+            option.flag, help=option.help, choices=option.choices, default=option.default)
 
     bench = sub.add_parser("bench", help="run the scaling benchmark")
     bench.add_argument("--m", required=True, help="comma-separated pattern lengths")
@@ -333,7 +396,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = plain_search(argv) or _parser().parse_args(argv)
     try:
         if args.command == "search":
             return cmd_search(args, sys.stdout)

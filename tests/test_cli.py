@@ -1,4 +1,5 @@
 import codecs
+import contextlib
 import gc
 import io
 import json
@@ -579,7 +580,8 @@ def test_importing_cli_leaves_introspection_unloaded(module):
 
 
 def test_repeated_searches_build_the_parser_once(monkeypatch, capsys):
-    """`main` reuses one parser; each call still parses its own arguments."""
+    """Plain searches build no parser; the forms that the one pass turns
+    down share one parser, and each call still parses its own arguments."""
     built, build = [], cli.build_parser
 
     def counted():
@@ -592,8 +594,120 @@ def test_repeated_searches_build_the_parser_once(monkeypatch, capsys):
         for algo in ("dp", "dawg", "dp"):
             assert main(["search", "--pattern", EX2_X, "--text", EX2_Y, "--algo", algo]) == 0
         assert main(["search", "--pattern", EX2_X, "--text", EX2_Y, "--format", "json"]) == 0
+        assert len(built) == 0
+        for algo in ("dp", "dawg"):
+            assert main(["search", f"--pattern={EX2_X}", "--text", EX2_Y, "--algo", algo]) == 0
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
     out = capsys.readouterr().out
-    assert out == "stdin\t12\n" * 3 + '[{"record": "stdin", "end": 12}]\n'
+    assert out == "stdin\t12\n" * 3 + '[{"record": "stdin", "end": 12}]\n' + "stdin\t12\n" * 2
+
+
+def test_a_plain_search_loads_neither_argparse_nor_json():
+    """A fresh interpreter that runs `cli.main` on a plain TSV search loads
+    neither ``argparse`` nor ``json``, nor ``math`` and ``random``, which
+    only `utd bench` needs; ``--format json`` then writes ``json.dump``'s
+    text."""
+    src = str(Path(translocsearch.__file__).resolve().parents[1])
+    code = (
+        "import sys, translocsearch.cli as cli\n"
+        "argv = ['search', '--pattern', 'ab', '--text', 'abba']\n"
+        "assert cli.main(argv) == 0\n"
+        "print(*(m in sys.modules for m in ('argparse', 'json', 'math', 'random')))\n"
+        "assert cli.main([*argv, '--format', 'json']) == 0\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.splitlines(keepends=True)
+    assert lines[:2] == ["stdin\t2\n", "stdin\t4\n"]
+    assert lines[2] == "False False False False\n"
+    expected = io.StringIO()
+    json.dump([{"record": "stdin", "end": end} for end in (2, 4)], expected)
+    assert lines[3:] == [expected.getvalue() + "\n"]
+
+
+SEARCH_FLAGS = [option.flag for option in cli.SEARCH_OPTIONS]
+GROUPS = [[option.flag for option in cli.SEARCH_OPTIONS if option.group == group]
+          for group in ("pattern", "text")]
+CHOICES = [choice for option in cli.SEARCH_OPTIONS for choice in option.choices or ()]
+VALUES = ["", "-", "-x", "-5", "a b", "-a b", *SEARCH_FLAGS, *CHOICES, "fast"]
+# the values that each flag takes
+FITS = {option.flag: option.choices or ("", "-", "a b") for option in cli.SEARCH_OPTIONS}
+NEAR_MISSES = ["--pat", "--pattern=ab", "-h", "--", "bench"]
+TOKENS = [*SEARCH_FLAGS, *NEAR_MISSES, *VALUES]
+
+
+@st.composite
+def near_plain_argvs(draw) -> list[str]:
+    """`search` and one member of each required group, maybe more flags (a
+    repeat or a second member too), in any order, each followed by a value
+    that fits it (three times in four) or by any of VALUES; then up to two
+    tokens inserted, replaced or dropped."""
+    flags = [draw(st.sampled_from(group)) for group in GROUPS]
+    flags += draw(st.lists(st.sampled_from(SEARCH_FLAGS), max_size=2))
+    argv = ["search"]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(FITS[flag] if draw(st.integers(0, 3)) else VALUES))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv) - 1))
+        how = draw(st.sampled_from(("insert", "replace", "drop")))
+        if how == "drop":
+            del argv[i]
+        else:
+            argv[i : i + (how == "replace")] = [draw(st.sampled_from(TOKENS))]
+    return argv
+
+
+def argparse_vars(argv: list[str]) -> dict | None:
+    """``vars`` of argparse's namespace for ``argv``, None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_plain_argvs())
+@example(["search", "--pattern", "ab", "--text-file", "-"])
+@example(["search", "--pattern", "ab", "--text", ""])
+@example(["search", "--pattern", "ab", "--text", "b", "--algo", "dp", "--algo", "dp"])
+@example(["search", "--pattern", "ab", "--format", "json"])
+def test_the_one_pass_builds_argparses_namespace(argv):
+    """Wherever ``plain_search`` returns a namespace, argparse returns one
+    with the same ``vars``; wherever argparse exits, it returns None; and
+    wherever argparse takes a plain form, it takes it too."""
+    args, parsed = cli.plain_search(argv), argparse_vars(argv)
+    if args is not None:
+        assert parsed == vars(args)
+    elif parsed is not None:
+        # argparse also takes forms that the one pass leaves to it, but no plain one
+        flags, values = argv[1::2], argv[2::2]
+        assert not (argv[0] == "search" and len(flags) == len(values) == len(set(flags))
+                    and set(flags) <= set(SEARCH_FLAGS)
+                    and all(v in ("", "-") or not v.startswith("-") for v in values))
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["search", "--pattern", "ab", "--text", "abba"], True),
+    (["search", "--pattern-file", "p", "--fasta", "f.fa", "--algo", "naive", "--format", "json"],
+     True),
+    (["search", "--pattern", "ab", "--text-file", "-"], True),
+    (["search", "--pattern", "", "--text", ""], True),
+    (["search", "--pattern=ab", "--text", "abba"], False),
+    (["search", "--pat", "ab", "--text", "abba"], False),
+    (["search", "--", "--pattern", "ab", "--text", "abba"], False),
+    (["search", "--pattern", "-x", "--text", "abba"], False),
+    (["search", "--pattern", "ab", "--text", "abba", "--algo", "dp", "--algo", "dp"], False),
+    (["search", "--pattern", "ab", "--text", "abba", "--algo", "fast"], False),
+    (["search", "--pattern", "ab", "--pattern-file", "p", "--text", "abba"], False),
+    (["search", "--pattern", "ab"], False),
+    (["search", "-h"], False),
+    (["bench", "--m", "4", "--n", "8"], False),
+    ([], False),
+])
+def test_the_one_pass_takes_only_plain_pairs(argv, plain):
+    assert (cli.plain_search(argv) is not None) == plain

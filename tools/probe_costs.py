@@ -31,6 +31,11 @@ per pass, images and non-images apart, and the microseconds of one
 `symbol_masks` build.  A checkout whose `_is_image` takes no masks gets
 ``-`` in the mask rows.
 
+Then it times the fixed cost of a `utd search` call, in microseconds per
+`cli.main` call, the least of 10K: a 64-symbol DNA pattern over a one-record
+FASTA file of 4 symbols, once with a plain argv, which `cli.main` parses in
+one pass, and once with ``--pattern=...``, a form that the pass turns down.
+
 Then it follows the FASTA path of `utd search` on the contig files of
 perfbench's `dna-scan` workload, in microseconds per block of
 CHUNK_CHARS characters, each step the least of K runs per file: reading
@@ -57,6 +62,7 @@ import random
 import sys
 import tempfile
 import time
+from contextlib import redirect_stdout
 from functools import partial
 from pathlib import Path
 
@@ -247,6 +253,27 @@ def read_records(cli, text: str) -> None:
         drain(record.chunks)
 
 
+def quiet_main(cli, argv: list[str]) -> None:
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+
+def main_times(modules: list, work: Path, repeat: int) -> dict[str, list[float]]:
+    """Per argv form, per module, microseconds of one `cli.main` call on a
+    one-record FASTA file of 4 symbols written under ``work``, the least of
+    ``repeat`` calls."""
+    path = work / "one.fa"
+    path.write_text(">r\nACGT\n")
+    pattern = "".join(random.Random(4).choices("ACGT", k=64))
+    argvs = {
+        "one-pass argv": ["search", "--pattern", pattern, "--fasta", str(path)],
+        "declined argv": ["search", f"--pattern={pattern}", "--fasta", str(path)],
+    }
+    clis = [importlib.import_module(module.__name__ + ".cli") for module in modules]
+    return {row: [t * 1e6 for t in turns([partial(quiet_main, cli, argv) for cli in clis], repeat)]
+            for row, argv in argvs.items()}
+
+
 def fasta_calls(module, path: Path, pattern: str) -> tuple[int, dict]:
     """The number of blocks in the FASTA file at ``path``, and the calls
     that time each step of its search for ``pattern``."""
@@ -316,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         periodic = periodic_dense(args.seed, Path(work)).searches
         contigs = dna_scan(args.seed, Path(work)).searches
         blocks, steps = fasta_times(modules, contigs, args.repeat)
+        fixed = main_times(modules, Path(work), 10 * args.repeat)
     times = probe_times(modules, probes, args.repeat)
     rows = {
         "set-up": [t["no filter"] for t in times],
@@ -349,6 +377,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {label:18s} {way:5s}"
                   + "".join(f" {v:9.1f}" if v < math.inf else f" {'-':>9s}" for v in values))
     print(f"  {'symbol_masks build, us':24s}" + "".join(f" {t['build']:9.2f}" for t in times))
+    print(f"cli.main on a 4-symbol FASTA record, m = 64, least of {10 * args.repeat} calls; "
+          "us per call")
+    for row, values in fixed.items():
+        print(f"  {row:15s}" + "".join(f" {v:8.1f}" for v in values))
     print(f"dna-scan seed {args.seed}, {len(contigs)} FASTA files, {blocks} blocks, "
           f"least of {args.repeat} runs; us per block")
     for step in steps[0]:
