@@ -98,7 +98,9 @@ def _ends(pattern: str, chunks: Iterable[str], algo: str) -> Iterator[int]:
     checked one by one, the r-th only if the r-1 before it were and their
     check work is below r * B, with B = CHECK_BUDGET * m^2; the rest of
     the cluster, if any, is one run.  So the checks of a cluster of r
-    windows cost less than r * B plus the work of the last one.  A run is
+    windows cost less than r * B plus the work of the last one.  A check
+    reads its window from both ends in turn, so a defect near either end
+    is found in a few units, and its work counts both readings.  A run is
     stepped through an engine started fresh where it starts: a hit at
     position j depends only on the window ending at j.  A window left to
     the engine steps it over the symbols it adds past the end of its run,
@@ -113,7 +115,8 @@ def _ends(pattern: str, chunks: Iterable[str], algo: str) -> Iterator[int]:
     checked, across clusters: at most m windows of m symbols, O(m^2),
     which covers every period up to m.  The first window not found there
     builds the pattern's symbol masks, for that check and every later one,
-    and ``dp`` shares them.  A window found there is not checked again but
+    and ``dp`` shares them; the first check that reads a window backwards
+    adds the reversed pattern's masks to them.  A window found there is not checked again but
     charged the work stored with its verdict; both ways of enumerating
     units give the same verdict and work, so the budget decides as if
     every window were checked.  The last m-1 symbols of the text are kept
@@ -267,11 +270,28 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
     rejected, so a non-image costs no more than with each prefix finished
     in turn, and a rotation of A^(m-1)B, an image, costs at most m + 1.
 
+    Two such searches take turns: this one, and the same search on
+    ``pattern[::-1]`` and ``window[::-1]``.  Reversing keeps images: zw
+    written as wz reads backwards as rev(w) rev(z) written as rev(z)
+    rev(w), so either search gives the verdict, and the first to give it
+    wins.  The forward search tries every prefix before a defect, so one
+    near the end of a window costs it most: (BA)^(m/2-2) BBAA against
+    (AB)^(m/2) takes it 14,911 units at m = 64, and the reversed search
+    one.  The forward search runs alone until its work passes 3m/2, the
+    cost of the costliest image of period-2 text, its out-of-phase
+    rotation, so most checks never start the reversed one; from then on
+    each runs until its work passes the other's, at the end of a step: a
+    copy run, or a prefix's units up to a pause.  So a check costs at most
+    about 3m/2 plus twice what the cheaper search would cost alone.  The
+    work reported is that of both, which the check budget and the memo
+    charge.
+
     The units are enumerated one of two ways, which pause after the same
-    candidates and return the same verdict and the same work, so that the
-    check budget decides alike.  Without ``masks``, each occurrence q of w
-    is one ``str.find`` call, so a window of random text is rejected after
-    a handful of them.  With ``masks``, the pattern's
+    candidates and return the same verdict and the same work after each
+    step, so that the turns and the check budget decide alike.  Without
+    ``masks``, each occurrence q of w is one ``str.find`` call, so a
+    window of random text is rejected after a handful of them.  With
+    ``masks``, the pattern's
     :func:`translocsearch.dp.symbol_masks` (bit i+1 set where
     ``pattern[i]`` is the symbol), the occurrences of w after s are one
     int, ``occ``, bit b set where ``pattern[s+b:]`` starts with w
@@ -281,15 +301,30 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
     that reaches m is the last one either way.  The int empties no later
     than at the first candidate whose w no longer occurs, where the finds
     stop, so both ways try the same candidates.  The masks cost about m
-    steps to build, which only a search with many checks repays.
+    steps to build, which only a search with many checks repays.  The
+    reversed search takes the reversed pattern's masks, built at its
+    first turn and kept in ``masks`` under the key "", which is no
+    symbol, so that a search builds them at most once.
     """
     m = len(pattern)
     reached = 1  # prefix lengths reached
     todo = 1  # of those, the ones whose units are not all tried
     copied = 0  # of those, the ones whose copies are taken
     paused = None  # s -> where its units paused: p, or (p, occ) with masks
-    work = 0
+    work = 0  # of both searches
+    idle = 0  # of the search that waits
+    cap = 3 * m // 2  # the work past which the search that runs yields its turn
+    other = None  # the strings, masks and sets of the one that waits, once both have started
     while todo:
+        if work > cap:  # the other's turn, until its own work passes this one's
+            if other is None:
+                if masks is not None and "" not in masks:
+                    masks[""] = symbol_masks(pattern[::-1])
+                other = pattern[::-1], window[::-1], masks and masks[""], 1, 1, 0, None
+            other, (pattern, window, masks, reached, todo, copied, paused) = (
+                (pattern, window, masks, reached, todo, copied, paused), other)
+            idle = work - idle
+            cap = 2 * idle
         s = todo.bit_length() - 1
         if not copied >> s & 1:
             e = 0

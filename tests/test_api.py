@@ -107,11 +107,12 @@ def test_benchmark_tracer_sees_every_layer(tmp_path, capsys):
     fasta = tmp_path / "t.fa"
     # r3's windows are rotations of the pattern, each cheap to check
     fasta.write_text(f">r1\n{EX2_Y}\n>r2\n{EX2_Y[::-1]}\n>r3\n{EX2_X * 3}\n")
-    # period-2 windows with a defect near their end are costly to check:
-    # they exhaust the check budget of their cluster, so the engines run
-    crowded_pattern = "ab" * 8
+    # period-2 windows at m = 64 with a defect every 48 symbols are costly
+    # to check from either end: they exhaust the check budget of their
+    # cluster, so the engines run
+    crowded_pattern = "ab" * 32
     crowded = tmp_path / "crowded.fa"
-    crowded.write_text(f">r4\n{('ba' * 6 + 'bbaa' + 'ba') * 3}\n")
+    crowded.write_text(f">r4\n{('ba' * 22 + 'bbaa') * 3}\n")
     other_layer = {"dp": "automaton.SearchState.step", "dawg": "dp.DpColumns.push"}
     per_pass = {}
     tracer = Tracer()

@@ -569,45 +569,64 @@ def test_engines_step_once_per_symbol_of_a_candidate_window(case):
         assert calls["build"] == (union > 0), budget
 
 
+def cluster_checks(pattern: str, text: str, algo: str) -> tuple[list[str], list[int], int]:
+    """The windows `_ends` checks in ``text`` cut at six seeded points, the
+    work of each check, and the engine runs of ``algo``; the hits must
+    equal `dp_search`'s."""
+    m = len(pattern)
+    rng = random.Random(m)
+    cuts = [rng.randrange(len(text) + 1) for _ in range(6)]
+    works, windows, calls = [], [], Counter()
+    check = translocsearch._is_image
+
+    def recorded(pattern, window, *masks):
+        image, work = check(pattern, window, *masks)
+        works.append(work)
+        windows.append(window)
+        return image, work
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(translocsearch, "_is_image", recorded)
+        count_calls(mp, calls, translocsearch, "DpColumns", "dp")
+        count_calls(mp, calls, translocsearch, "SearchState", "dawg")
+        assert match_ends(pattern, iter(split(text, cuts)), algo) == dp_search(pattern, text), algo
+    return windows, works, calls[algo]
+
+
 @pytest.mark.parametrize("m", [32, 64])
 @pytest.mark.parametrize("kind", ["unary", "period-2", "A^(m-1)B", "period-2 defect"])
 def test_worst_case_text_keeps_check_work_within_the_budget(m, kind):
     """Texts where every window is a candidate, all of one cluster.  Its
     check work stays below its checked windows' count times the budget plus
     the work of the last check.  Unary, period-2 and A^(m-1)B windows are
-    cheap to check, so no engine runs; period-2 windows with a defect near
-    their end, (ba)^(m/2-2) bbaa and its rotations, exhaust the budget, and
-    one engine run covers the rest."""
-    pattern = {
-        "unary": "a" * m, "period-2": "ab" * (m // 2), "A^(m-1)B": "a" * (m - 1) + "b",
-        "period-2 defect": "ab" * (m // 2),
-    }[kind]
+    cheap to check, and so are period-2 windows with a defect near their
+    end, (ba)^(m/2-2) bbaa and its rotations, which the reversed search
+    reads from the defect's end: no engine runs."""
+    pattern = "a" * m if kind == "unary" else "a" * (m - 1) + "b" if kind == "A^(m-1)B" else "ab" * (m // 2)
     period = "ba" * (m // 2 - 2) + "bbaa" if kind == "period-2 defect" else pattern[1:] + pattern[0]
     text = (period * 10)[: 5 * m]
-    rng = random.Random(m)
-    cuts = [rng.randrange(len(text) + 1) for _ in range(6)]
-    expected = dp_search(pattern, text)
     budget = translocsearch.CHECK_BUDGET * m * m
     for algo in ("dp", "dawg"):
-        works, windows, calls = [], [], Counter()
-        check = translocsearch._is_image
-
-        def recorded(pattern, window, *masks):
-            image, work = check(pattern, window, *masks)
-            works.append(work)
-            windows.append(window)
-            return image, work
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(translocsearch, "_is_image", recorded)
-            count_calls(mp, calls, translocsearch, "DpColumns", "dp")
-            count_calls(mp, calls, translocsearch, "SearchState", "dawg")
-            assert match_ends(pattern, iter(split(text, cuts)), algo) == expected, algo
-        assert windows == [text[k : k + m] for k in range(len(windows))]
+        windows, works, runs = cluster_checks(pattern, text, algo)
+        assert windows == [text[k : k + m] for k in range(len(windows))], algo
         assert sum(works) - works[-1] < len(works) * budget
-        if calls[algo]:
-            assert sum(works) >= (len(works) + 1) * budget  # the budget ran out
-        assert calls[algo] == {"unary": 0, "period-2": 0, "A^(m-1)B": 0, "period-2 defect": 1}[kind]
+        assert runs == 0, algo
+
+
+def test_defects_far_from_both_window_ends_exhaust_the_budget():
+    """Period-2 text with bbaa every 48 symbols, (ba)^22 bbaa, against
+    (ab)^32: each window holds a defect far from both of its ends, so the
+    forward and the reversed search both try many prefixes.  The checks
+    of the cluster's first windows overrun the budget, and one engine run
+    covers the rest of the cluster."""
+    m = 64
+    pattern, text = "ab" * 32, ("ba" * 22 + "bbaa") * 7
+    budget = translocsearch.CHECK_BUDGET * m * m
+    for algo in ("dp", "dawg"):
+        windows, works, runs = cluster_checks(pattern, text, algo)
+        assert windows == [text[k : k + m] for k in range(len(windows))], algo
+        assert len(works) * budget <= sum(works) < len(works) * budget + works[-1]
+        assert runs == 1, algo
 
 
 def switch_checks(pattern: str, text: str) -> list[tuple[str, bool]]:
@@ -916,6 +935,68 @@ def test_transposed_images_get_the_oracle_verdict(case, way):
     assert image == (tuple(window) in enumerate_images(pattern))
 
 
+@st.composite
+def late_defects(draw):
+    """(pattern, window): a pattern of 7-12 symbols, one symbol repeated
+    and then 1-3 of another, and a window that repeats the first symbol a
+    few times less before a shuffle of the rest.  The forward search
+    reaches many prefixes of such a window before it fails, so in about
+    one case in eight its work passes 3m/2 and the reversed search takes
+    turns with it."""
+    x, y = draw(st.sampled_from(("ab", "ba", "AC")))
+    m, r = draw(st.integers(7, 12)), draw(st.integers(1, 3))
+    pattern = x * (m - r) + y * r
+    j = draw(st.integers(max(0, m - r - 5), m - r - 1))
+    return pattern, x * j + "".join(draw(st.permutations(pattern[j:])))
+
+
+@pytest.mark.parametrize("way", ["find", "masks"])
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(late_defects(), image_cases()))
+@example(case=("aaaaaabb", "aaaababa"))  # 19 units: rejected after the reversed search's turn
+@example(case=("aaaaaaaabb", "aaaaabaaba"))  # 24 units
+def test_a_window_read_backwards_gets_the_same_verdict(case, way):
+    """Reversing keeps images: a factor pair zw written as wz reads
+    backwards as rev(w) rev(z) written as rev(z) rev(w).  So the verdict
+    on (pattern, window) equals the verdict on both read backwards, and
+    the naive oracle's, also where the two searches take turns."""
+    pattern, window = case
+    image = tuple(window) in enumerate_images(pattern)
+    for p, w in ((pattern, window), (pattern[::-1], window[::-1])):
+        assert translocsearch._is_image(p, w, unit_masks(way, p))[0] == image, (p, w)
+
+
+@pytest.mark.parametrize("way", ["find", "masks"])
+@pytest.mark.parametrize("m", [16, 32, 64, 128])
+def test_a_defect_near_the_end_of_a_period_2_window_is_found_from_that_end(m, way):
+    """(ba)^(m/2-2) bbaa against (ab)^(m/2): the forward search would try
+    every prefix before the defect, 14 911 units at m = 64.  It runs
+    alone until its work passes 3m/2, at 3m/2 + 1, and the reversed
+    search, aabb (ab)^(m/2-2) against (ba)^(m/2), then rejects the window
+    in one unit.  The check reports the work of both, 3m/2 + 2."""
+    pattern, window = "ab" * (m // 2), "ba" * (m // 2 - 2) + "bbaa"
+    masks = unit_masks(way, pattern)
+    assert translocsearch._is_image(pattern, window, masks) == (False, 3 * m // 2 + 2)
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_period_2_text_with_a_defect_in_each_block_runs_no_engine(m, monkeypatch):
+    """8 KiB of (ba)^(m/2-2) bbaa ba blocks against (ab)^(m/2), in 2 KiB
+    chunks, where each window holds one defect, at each distance from its
+    ends in turn.  A window is checked from both ends at once, so a defect
+    near either end is found in a few units, and the checks of each
+    cluster stay within its budget: `match_ends` constructs no engine."""
+    pattern = "AB" * (m // 2)
+    block = "BA" * (m // 2 - 2) + "BBAA" + "BA"
+    text = (block * (8192 // len(block) + 1))[:8192]
+    expected = dp_search(pattern, text)
+    monkeypatch.setattr(translocsearch, "DpColumns", refuse_engine)
+    monkeypatch.setattr(translocsearch, "SearchState", refuse_engine)
+    chunks = [text[i : i + 2048] for i in range(0, len(text), 2048)]
+    for algo in ("dp", "dawg"):
+        assert match_ends(pattern, iter(chunks), algo) == expected, algo
+
+
 def spied_checks(mp: pytest.MonkeyPatch, pattern: str, chunks, check=None):
     """The hit ends `_ends` yields for ``chunks`` with `dawg`, and (window,
     result, masks) of each check it makes, with ``check`` in place of
@@ -1212,7 +1293,9 @@ def test_runs_across_fasta_line_pieces(tmp_path, monkeypatch):
     engine steps over runs that span many sequence lines; every engine and
     line width gives the same 27 hits, and the runs do not depend on the
     width.  The pattern is short enough for `naive`, a unary one with a
-    period-2 tail, and the rotations of A^10 BB check slowly against it."""
+    period-2 tail, and the rotations of A^10 BB check slowly enough
+    against it to exhaust a budget of m^2/10 per window."""
+    monkeypatch.setattr(translocsearch, "CHECK_BUDGET", 0.1)
     pattern = "A" * 8 + "BABA"
     seq = ("A" * 10 + "BB") * 6 + "G" + ("A" * 10 + "BB") * 5
     runs = []  # per width, the symbols each `dp` engine steps over
@@ -1247,14 +1330,14 @@ def test_a_hit_is_reported_before_the_next_chunk_is_read(algo, runs, monkeypatch
     holds the hit's last symbol is read, and before the next one is.
     Each of ``runs`` repeats holds a lone image of the pattern, which is
     checked on its own, and a stretch whose clusters exhaust the check
-    budget, one engine run cut across two chunks: period-2 windows with a
-    defect near their end.  Chunks without a candidate window follow.
-    Each run constructs one engine."""
-    pattern = "AB" * 8
-    defects = ("BA" * 6 + "BBAA" + "BA") * 3
+    budget, one engine run cut across two chunks: period-2 windows at
+    m = 64 with a defect every 48 symbols.  Chunks without a candidate
+    window follow.  Each run constructs one engine."""
+    pattern = "AB" * 32
+    defects = ("BA" * 22 + "BBAA") * 3
     chunks = []
     for _ in range(runs):
-        chunks += ["GG" + "BA" * 8, "GG", defects, defects, "G" * 20, "G" * 20]
+        chunks += ["GG" + "BA" * 32, "GG", defects, defects, "G" * 20, "G" * 20]
     bounds = list(accumulate(map(len, chunks)))  # the end of each chunk
     images = [bound for bound, chunk in zip(bounds, chunks) if chunk.startswith("GGB")]
     events = []
@@ -1283,8 +1366,8 @@ def test_search_encodes_nothing(tmp_path, monkeypatch):
     """A search whose runs start hundreds of pieces, one per line of a FASTA
     file at line width 1, never calls `encode` or `infer_alphabet`: the
     engines read the runs' symbols as they are."""
-    pattern = "AB" * 8
-    defects = "BA" * 6 + "BBAA" + "BA"  # period-2 windows that exhaust the check budget
+    pattern = "AB" * 32
+    defects = "BA" * 22 + "BBAA"  # period-2 windows at m = 64 that exhaust the check budget
     seq = (defects * 6 + "G" + defects * 5).lower()
     fasta = tmp_path / "width-1.fa"
     fasta.write_text(">r\n" + "".join(symbol + "\n" for symbol in seq))
@@ -1306,7 +1389,7 @@ def test_search_encodes_nothing(tmp_path, monkeypatch):
     for algo in ("dp", "dawg"):
         encoded.clear()
         out = run_search(["--pattern", pattern, "--fasta", str(fasta), "--algo", algo])
-        assert out.count("\n") == 83 and calls[algo] > 1, (algo, calls)
+        assert out.count("\n") == 200 and calls[algo] > 1, (algo, calls)
         assert encoded == [], algo
 
 

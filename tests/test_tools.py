@@ -27,7 +27,9 @@ def test_probe_costs_prints_every_row(monkeypatch, capsys):
     assert [name.strip() for name, _ in mixed] == ["plain", "last ?", "last U+20AC", "last U+4E00"]
     assert all(float(value) > 0 for _, value in mixed)
     worst = [line.rsplit(maxsplit=1) for line in lines if line.lstrip().startswith(("A^k B", "defect"))]
-    assert [name.strip() for name, _ in worst] == ["A^k B, m = 32", "A^k B, m = 64", "defect, m = 32"]
+    assert [name.strip() for name, _ in worst] == [
+        "A^k B, m = 32", "A^k B, m = 64", "defect, m = 32", "defect, m = 64", "defect, m = 128",
+        "defect every 48, m = 64"]
     assert all(float(value) > 0 for _, value in worst)
     rows = [line.split() for line in lines if "images (" in line]
     assert [row[-2] for row in rows] == ["find", "masks"] * 2

@@ -19,8 +19,10 @@ in 1 KiB chunks, as it is and with its last symbol replaced by ``?``, by
 U+20AC and by U+4E00, and asserts that the checkouts return the same
 hits.  It does the same, in symbols per second, on 2 KiB of the text whose
 windows cost most to check: blocks A^k B, with k within m +- 4, for the
-pattern A^(m-1)B at m = 32 and 64, and period-2 windows with a defect near
-their end, blocks (BA)^(m/2-2) BBAA BA for the pattern (AB)^(m/2) at m = 32.
+pattern A^(m-1)B at m = 32 and 64; period-2 windows with a defect near
+their end, blocks (BA)^(m/2-2) BBAA BA for the pattern (AB)^(m/2) at m =
+32, 64 and 128; and (BA)^22 BBAA blocks for (AB)^32, whose windows hold a
+defect far from both ends, so that their clusters still reach an engine.
 
 Last it times `_is_image` on the windows that `periodic-dense` checks
 (the paper's worst case: unary and period-2 text), each check the least
@@ -162,8 +164,10 @@ def worst_case_texts() -> dict[str, tuple[str, list[str]]]:
     for m in (32, 64):
         blocks = "".join("A" * rng.randint(m - 4, m + 4) + "B" for _ in range(4096 // m))
         rows[f"A^k B, m = {m}"] = "A" * (m - 1) + "B", [blocks[:2048]]
-    defect = "BA" * 14 + "BBAA" + "BA"
-    rows["defect, m = 32"] = "AB" * 16, [(defect * (2048 // len(defect) + 1))[:2048]]
+    for m in (32, 64, 128):
+        defect = "BA" * (m // 2 - 2) + "BBAA" + "BA"
+        rows[f"defect, m = {m}"] = "AB" * (m // 2), [(defect * (2048 // len(defect) + 1))[:2048]]
+    rows["defect every 48, m = 64"] = "AB" * 32, [(("BA" * 22 + "BBAA") * 43)[:2048]]
     return rows
 
 
@@ -365,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {row:12s}" + "".join(f" {v * 1e9:8.1f}" for v in values))
     print(f"match_ends on 2 KiB of worst-case text, least of {args.repeat} runs; sym/s")
     for row, values in seconds_per_symbol(modules, worst_case_texts(), args.repeat).items():
-        print(f"  {row:15s}" + "".join(f" {1 / v:10.0f}" for v in values))
+        print(f"  {row:23s}" + "".join(f" {1 / v:10.0f}" for v in values))
     checks = periodic_checks(modules[0], periodic)
     times = check_times(modules, checks, args.repeat)
     images = sum(image for _, _, image in checks)
