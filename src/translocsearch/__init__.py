@@ -116,7 +116,8 @@ def _ends(pattern: str, chunks: Iterable[str], algo: str) -> Iterator[int]:
     which covers every period up to m.  The first window not found there
     builds the pattern's symbol masks, for that check and every later one,
     and ``dp`` shares them; the first check that reads a window backwards
-    adds the reversed pattern's masks to them.  A window found there is not checked again but
+    adds the reversed pattern's masks to them, under the key "", which
+    no text symbol reads.  A window found there is not checked again but
     charged the work stored with its verdict; both ways of enumerating
     units give the same verdict and work, so the budget decides as if
     every window were checked.  The last m-1 symbols of the text are kept
@@ -139,7 +140,8 @@ def _ends(pattern: str, chunks: Iterable[str], algo: str) -> Iterator[int]:
     left = 0  # check work its cluster may still spend; none left once a run covers it
     spent = 0  # work of the checks before the switch
     seen = {}  # window -> (verdict, work): the last m distinct windows checked since the switch
-    masks = None  # the pattern's symbol masks, built at the first check after the switch or dp run
+    masks = None  # the pattern's symbol masks, built at the first check after the switch or dp run,
+    # and under "" the reversed pattern's, once a check reads a window backwards
     dawg = None  # built at the first run
     for chunk in chunks:
         text = tail + chunk
@@ -245,7 +247,9 @@ def _count_marks(text: str, m: int, counts: dict[int, int]) -> bytes:
     return marks.to_bytes(digit * (n - m + 1), "little")[::digit]
 
 
-def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) -> tuple[bool, int]:
+def _is_image(
+    pattern: str, window: str, masks: dict[str, int | dict[str, int]] | None = None
+) -> tuple[bool, int]:
     """Whether ``window`` is an image of ``pattern``, of the same length,
     and the work spent to tell: the symbols compared in common prefixes
     plus the candidate units tried.
@@ -302,9 +306,12 @@ def _is_image(pattern: str, window: str, masks: dict[str, int] | None = None) ->
     than at the first candidate whose w no longer occurs, where the finds
     stop, so both ways try the same candidates.  The masks cost about m
     steps to build, which only a search with many checks repays.  The
-    reversed search takes the reversed pattern's masks, built at its
-    first turn and kept in ``masks`` under the key "", which is no
-    symbol, so that a search builds them at most once.
+    reversed search takes the reversed pattern's masks.  They are built
+    at its first turn and kept in ``masks`` under the key "", so that a
+    search builds them at most once: ``masks`` maps each pattern symbol
+    to its int, and "", which is no symbol of a ``str``, to the dict of
+    the reversed pattern, once built.  So a reader that looks a text
+    symbol up never meets it, but one that iterates over ``masks`` does.
     """
     m = len(pattern)
     reached = 1  # prefix lengths reached

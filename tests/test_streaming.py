@@ -625,7 +625,7 @@ def test_defects_far_from_both_window_ends_exhaust_the_budget():
     for algo in ("dp", "dawg"):
         windows, works, runs = cluster_checks(pattern, text, algo)
         assert windows == [text[k : k + m] for k in range(len(windows))], algo
-        assert len(works) * budget <= sum(works) < len(works) * budget + works[-1]
+        assert (len(works) + 1) * budget <= sum(works) < len(works) * budget + works[-1]  # the budget ran out
         assert runs == 1, algo
 
 
@@ -922,19 +922,6 @@ def transposed_images(draw):
     return pattern, "".join(window)
 
 
-@pytest.mark.parametrize("way", ["find", "masks"])
-@settings(max_examples=200, deadline=None)
-@given(case=transposed_images())
-@example(case=("baaabbba", "abbbabaa"))  # an image only a resumed prefix reaches
-def test_transposed_images_get_the_oracle_verdict(case, way):
-    """Near misses, where a search that leaves a prefix's units to reach
-    a longer prefix first is most likely to stop short or overshoot: the
-    verdict equals the naive oracle's."""
-    pattern, window = case
-    image, _ = translocsearch._is_image(pattern, window, unit_masks(way, pattern))
-    assert image == (tuple(window) in enumerate_images(pattern))
-
-
 @st.composite
 def late_defects(draw):
     """(pattern, window): a pattern of 7-12 symbols, one symbol repeated
@@ -952,14 +939,17 @@ def late_defects(draw):
 
 @pytest.mark.parametrize("way", ["find", "masks"])
 @settings(max_examples=300, deadline=None)
-@given(case=st.one_of(late_defects(), image_cases()))
+@given(case=st.one_of(transposed_images(), late_defects()))
+@example(case=("baaabbba", "abbbabaa"))  # an image only a resumed prefix reaches
 @example(case=("aaaaaabb", "aaaababa"))  # 19 units: rejected after the reversed search's turn
 @example(case=("aaaaaaaabb", "aaaaabaaba"))  # 24 units
-def test_a_window_read_backwards_gets_the_same_verdict(case, way):
-    """Reversing keeps images: a factor pair zw written as wz reads
-    backwards as rev(w) rev(z) written as rev(z) rev(w).  So the verdict
-    on (pattern, window) equals the verdict on both read backwards, and
-    the naive oracle's, also where the two searches take turns."""
+def test_transposed_images_get_the_oracle_verdict(case, way):
+    """Near misses, where a search that leaves a prefix's units to reach
+    a longer prefix first is most likely to stop short or overshoot, and
+    late defects, where the two searches take turns: the verdict equals
+    the naive oracle's.  Reversing keeps images: a factor pair zw written
+    as wz reads backwards as rev(w) rev(z) written as rev(z) rev(w).  So
+    the verdict on both read backwards is the same."""
     pattern, window = case
     image = tuple(window) in enumerate_images(pattern)
     for p, w in ((pattern, window), (pattern[::-1], window[::-1])):
